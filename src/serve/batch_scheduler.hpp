@@ -39,7 +39,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -117,12 +117,9 @@ class BatchScheduler {
   /// epilog checks cuts_held()), never writers. Pair with release_cut()
   /// or snap::HeldCut.
   [[nodiscard]] snap::SnapshotCut mint_cut() {
-    util::Backoff backoff;
-    while (pump_lock_.test_and_set(std::memory_order_acquire)) backoff.pause();
-    const snap::SnapshotCut cut{arbiter_.round(), 1};
+    const std::lock_guard<util::SpinLock> lock(pump_lock_);
     cuts_held_.fetch_add(1, std::memory_order_acq_rel);
-    pump_lock_.clear(std::memory_order_release);
-    return cut;
+    return {arbiter_.round(), 1};
   }
 
   void release_cut() noexcept { cuts_held_.fetch_sub(1, std::memory_order_acq_rel); }
@@ -175,6 +172,7 @@ class BatchScheduler {
     s.batches = batches();
     s.deadline_batches = deadline_batches();
     s.ops_served = ops_served();
+    s.full_refusals = full_refusals_.load(std::memory_order_relaxed);
     s.keys = map_.size();
     s.shards = 1;
     return s;
@@ -184,37 +182,33 @@ class BatchScheduler {
   bool run_batch(bool force) {
     bool by_deadline = false;
     if (!force && !trigger_fired(by_deadline)) return false;
-    if (pump_lock_.test_and_set(std::memory_order_acquire)) return false;
+    const std::unique_lock<util::SpinLock> lock(pump_lock_, std::try_to_lock);
+    if (!lock.owns_lock()) return false;
     scratch_.clear();
     const std::uint64_t drained = queue_.drain_into(scratch_);
-    bool executed = false;
-    if (drained > 0) {
-      // A drain larger than max_batch becomes several rounds — batch
-      // boundaries are deterministic in admission order, which is what
-      // tests/test_serve.cpp pins.
-      for (std::size_t begin = 0; begin < scratch_.size(); begin += cfg_.max_batch) {
-        const std::size_t n =
-            std::min<std::size_t>(cfg_.max_batch, scratch_.size() - begin);
-        execute_round(&scratch_[begin], n);
-      }
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      if (by_deadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
-      ops_served_.fetch_add(drained, std::memory_order_relaxed);
-      metrics_.batch_closed();
-      // Batch boundary = step boundary: if churn tombstoned enough of the
-      // table (reclaim_ratio watermark) — or its own probe telemetry says
-      // walks degraded past the signal thresholds — rebuild it now: no
-      // round is in flight, the pump lock is held, and the next batch
-      // starts against a table sized for its live keys. Parked while any
-      // snapshot cut is held: reclaim frees the bucket array a concurrent
-      // scan_shard_at may still be walking.
-      if (cuts_held() == 0) {
-        map_.maybe_reclaim_parallel(threads_, map_.telemetry_signal());
-      }
-      executed = true;
+    if (drained == 0) return false;
+    // A drain larger than max_batch becomes several rounds — batch
+    // boundaries are deterministic in admission order, which is what
+    // tests/test_serve.cpp pins.
+    for (std::size_t begin = 0; begin < scratch_.size(); begin += cfg_.max_batch) {
+      const std::size_t n = std::min<std::size_t>(cfg_.max_batch, scratch_.size() - begin);
+      execute_round(&scratch_[begin], n);
     }
-    pump_lock_.clear(std::memory_order_release);
-    return executed;
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    if (by_deadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
+    ops_served_.fetch_add(drained, std::memory_order_relaxed);
+    metrics_.batch_closed();
+    // Batch boundary = step boundary: if churn tombstoned enough of the
+    // table (reclaim_ratio watermark) — or its own probe telemetry says
+    // walks degraded past the signal thresholds — rebuild it now: no
+    // round is in flight, the pump lock is held, and the next batch
+    // starts against a table sized for its live keys. Parked while any
+    // snapshot cut is held: reclaim frees the bucket array a concurrent
+    // scan_shard_at may still be walking.
+    if (cuts_held() == 0) {
+      map_.maybe_reclaim_parallel(threads_, map_.telemetry_signal());
+    }
+    return true;
   }
 
   [[nodiscard]] bool trigger_fired(bool& by_deadline) const noexcept {
@@ -264,10 +258,11 @@ class BatchScheduler {
 
     // Backlog-sized reservation: one grow big enough for every write in
     // this round (ROADMAP "resize-storm tail"), so phase B cannot see
-    // kFull — the round has no retry path for a full table. Parked while
-    // a snapshot cut is held (grow frees the old bucket array under a
-    // live scan); callers sizing tables for checkpoint workloads pre-size
-    // via TableConfig::expected_keys.
+    // kFull. Parked while a snapshot cut is held (grow frees the old
+    // bucket array under a live scan); a write that then finds the table
+    // full is refused (won=false, counted in full_refusals) and may retry
+    // in a later round. Callers sizing tables for checkpoint workloads
+    // pre-size via TableConfig::expected_keys.
     if (cuts_held() == 0) map_.maybe_grow_for_backlog(write_count, threads_);
 
     const auto scope = arbiter_.next_round(ResetMode::kNone);
@@ -338,8 +333,8 @@ class BatchScheduler {
       }
       for (const unsigned char w : won_) wins += w;
     }
-    if (full.load(std::memory_order_relaxed) != 0) {
-      throw std::runtime_error("serve: table full despite backlog reservation");
+    if (const std::uint64_t refused = full.load(std::memory_order_relaxed); refused != 0) {
+      full_refusals_.fetch_add(refused, std::memory_order_relaxed);
     }
 
     metrics_.write_wins(wins);
@@ -401,7 +396,7 @@ class BatchScheduler {
   // inside the table's buckets. CAS-LT never needs a reset sweep
   // (kNeedsRoundReset == false), so next_round(kNone) is one increment.
   WriteArbiter<CasLtPolicy> arbiter_{0};
-  std::atomic_flag pump_lock_;
+  util::SpinLock pump_lock_;
   // Snapshot cuts currently held (mint_cut/release_cut). While > 0 the
   // batch epilog skips reclaim and backlog grow — both free the bucket
   // array that concurrent cut-predicated scans are walking.
@@ -417,6 +412,7 @@ class BatchScheduler {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> deadline_batches_{0};
   std::atomic<std::uint64_t> ops_served_{0};
+  std::atomic<std::uint64_t> full_refusals_{0};
 };
 
 }  // namespace crcw::serve

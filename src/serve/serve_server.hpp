@@ -3,12 +3,20 @@
 // Deployment shape: one BasicWireServer wraps one session (usually
 // ShardedServeSession). start() binds (WireConfig::port; 0 = ephemeral,
 // port() reports the bound one), spins the accept loop, and starts the
-// session's background pump so deadline batches close without client-side
-// pumping. Each accepted connection gets a handler thread:
+// session's background pump, which closes the batches of in-process
+// clients by max_wait_us. Each accepted connection gets a handler thread:
 //
 //   read chunk → RequestDecoder → submit burst (≤ io_batch ops, futures
-//   pinned on the handler's stack) → wait → encode replies IN REQUEST
-//   ORDER → write_all
+//   pinned on the handler's stack) → close the batch on this thread →
+//   encode replies IN REQUEST ORDER → write_all
+//
+// The connection submits nothing more until it has replied, so the
+// handler does not wait for the size or deadline trigger: it runs forced
+// batches (backend flush()) until its own futures are ready. Those rounds
+// still drain every lane under the one pump lock, so connections and
+// in-process clients share them. With exec_threads > 1 a handler that
+// closes a batch leads its own OpenMP team, as help-pumping in-process
+// clients already do.
 //
 // A burst's ops ride ordinary session rounds — the wire adds no second
 // consistency mechanism; Response carries {round, shard} so clients can
@@ -16,13 +24,18 @@
 // framing error (DecodeStatus::kError) drops the connection; there is no
 // resync.
 //
+// Connection bookkeeping: a handler erases its fd from the live set
+// before closing it, so stop() never shuts down a recycled fd number, and
+// the accept loop joins finished handlers as new connections arrive.
+//
 // The snapshot kinds are the one exception to "every op rides a round":
 // kSnapshotScan and kSnapshotCreate are answered on the handler thread
 // itself via src/snap (a consistent cut held while the pump keeps
 // committing), so a slow scan blocks only its own connection, never the
 // round pipeline. Scan replies carry the fold digest in `value` and the
 // cut round in `round`; create replies carry the published checkpoint's
-// cut round (won=false if SnapConfig::dir is empty or the write failed). Threads-per-connection is deliberate: the expected clients are
+// cut round (won=false if SnapConfig::dir is empty or the write failed).
+// Threads-per-connection is deliberate: the expected clients are
 // a handful of load generators pipelining thousands of ops, not ten
 // thousand idle sockets (an epoll reactor composes later without touching
 // the protocol).
@@ -34,6 +47,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -115,11 +129,10 @@ class BasicWireServer {
     listen_fd_ = -1;
     {
       const std::lock_guard<std::mutex> lock(conn_mu_);
-      for (const int fd : conn_fds_) net::shutdown_fd(fd);
+      for (const Connection& c : conns_) net::shutdown_fd(c.fd);
     }
-    for (std::thread& t : handlers_) t.join();
-    handlers_.clear();
-    conn_fds_.clear();
+    for (Connection& c : conns_) c.thread.join();
+    conns_.clear();
   }
 
   /// The bound port (== WireConfig::port unless that was 0/ephemeral).
@@ -128,11 +141,22 @@ class BasicWireServer {
   [[nodiscard]] std::uint64_t connections_accepted() const noexcept {
     return accepted_.load(std::memory_order_relaxed);
   }
+  /// Connections whose handler has not yet closed its fd.
+  [[nodiscard]] std::uint64_t live_connections() const noexcept {
+    return live_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] std::uint64_t requests_served() const noexcept {
     return requests_.load(std::memory_order_relaxed);
   }
 
  private:
+  // One accepted connection. Its handler sets fd to -1 (under conn_mu_)
+  // before closing it; after that the entry only awaits a join.
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+  };
+
   void accept_loop() {
     while (!stopping_.load(std::memory_order_relaxed)) {
       const int fd = net::tcp_accept(listen_fd_);
@@ -141,12 +165,50 @@ class BasicWireServer {
         continue;  // transient accept failure (e.g. aborted handshake)
       }
       accepted_.fetch_add(1, std::memory_order_relaxed);
+      live_.fetch_add(1, std::memory_order_relaxed);
+      reap();
       const std::lock_guard<std::mutex> lock(conn_mu_);
-      conn_fds_.push_back(fd);
-      handlers_.emplace_back([this, fd] { serve_connection(fd); });
+      Connection& c = conns_.emplace_back();
+      c.fd = fd;
+      c.thread = std::thread([this, &c, fd] {
+        serve_connection(fd);
+        release(c, fd);
+      });
     }
   }
 
+  /// Joins the handlers that have released their connection; they only
+  /// have to return. Run before a new handler starts, so that it can reuse
+  /// their stack and malloc arena.
+  void reap() {
+    std::vector<std::thread> finished;
+    {
+      const std::lock_guard<std::mutex> lock(conn_mu_);
+      for (auto it = conns_.begin(); it != conns_.end();) {
+        if (it->fd >= 0) {
+          ++it;
+          continue;
+        }
+        finished.push_back(std::move(it->thread));
+        it = conns_.erase(it);
+      }
+    }
+    for (std::thread& t : finished) t.join();
+  }
+
+  /// Erases the connection's fd from the live set, then closes it, so
+  /// stop() never shuts down the number once another socket reuses it.
+  void release(Connection& c, int fd) {
+    {
+      const std::lock_guard<std::mutex> lock(conn_mu_);
+      c.fd = -1;
+    }
+    net::close_fd(fd);
+    live_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  /// Serves one connection until the peer closes, an I/O error, a framing
+  /// error or stop(). The caller closes the fd.
   void serve_connection(int fd) {
     wire::RequestDecoder decoder(cfg_.max_frame_bytes);
     std::vector<std::uint8_t> chunk(64 * 1024);
@@ -159,7 +221,7 @@ class BasicWireServer {
 
     for (;;) {
       const std::ptrdiff_t n = net::read_some(fd, chunk.data(), chunk.size());
-      if (n <= 0) break;  // peer closed, error, or stop()'s shutdown
+      if (n <= 0) return;  // peer closed, error, or stop()'s shutdown
       decoder.feed(chunk.data(), static_cast<std::size_t>(n));
       for (;;) {
         // Decode up to io_batch requests, run them as one submit burst,
@@ -171,16 +233,14 @@ class BasicWireServer {
                (st = decoder.next(req)) == wire::DecodeStatus::kFrame) {
           burst.push_back(req);
         }
-        if (st == wire::DecodeStatus::kError) {
-          net::close_fd(fd);
-          return;  // garbage framing: drop, never resync
-        }
+        if (st == wire::DecodeStatus::kError) return;  // garbage framing: never resync
         if (burst.empty()) break;  // kNeedMore with nothing decoded
         requests_.fetch_add(burst.size(), std::memory_order_relaxed);
 
         for (std::size_t i = 0; i < burst.size(); ++i) {
           if (!is_snapshot_op(burst[i].op.kind)) session_.submit(burst[i].op, futures[i]);
         }
+        close_batch(burst, futures);
         out.clear();
         for (std::size_t i = 0; i < burst.size(); ++i) {
           if (is_snapshot_op(burst[i].op.kind)) {
@@ -190,20 +250,34 @@ class BasicWireServer {
             wire::encode_response(handle_snapshot(burst[i]), out);
             continue;
           }
-          const Result& r = session_.wait(futures[i]);
+          const Result& r = futures[i].result();
           wire::encode_response(
               {burst[i].id, r.won, r.value, r.round,
                static_cast<std::uint32_t>(session_.backend().shard_of(burst[i].op.key))},
               out);
         }
-        if (!net::write_all(fd, out.data(), out.size())) {
-          net::close_fd(fd);
-          return;
-        }
+        if (!net::write_all(fd, out.data(), out.size())) return;
         if (st == wire::DecodeStatus::kNeedMore) break;
       }
     }
-    net::close_fd(fd);
+  }
+
+  /// Runs forced batches on this thread until every round op of the burst
+  /// is ready. Another thread may hold the pump lock (flush() then returns
+  /// false); its batch publishes what it drained, so back off and recheck.
+  void close_batch(const std::vector<wire::Request>& burst,
+                   const std::vector<OpFuture>& futures) {
+    BackoffState backoff(session_.config().batch.backoff_spins);
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+      if (is_snapshot_op(burst[i].op.kind)) continue;
+      while (!futures[i].ready()) {
+        if (session_.backend().flush()) {
+          backoff.reset();
+        } else {
+          backoff.pause();
+        }
+      }
+    }
   }
 
   /// kSnapshotScan: digest the committed state at a fresh cut, concurrent
@@ -241,10 +315,11 @@ class BasicWireServer {
   std::uint16_t port_ = 0;
   std::thread accept_thread_;
   std::mutex conn_mu_;
-  std::vector<int> conn_fds_;        // guarded by conn_mu_
-  std::vector<std::thread> handlers_;  // guarded by conn_mu_ until stop()
+  // guarded by conn_mu_; a list, so a handler's entry never moves
+  std::list<Connection> conns_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> accepted_{0};
+  std::atomic<std::uint64_t> live_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::mutex snap_mu_;  // serializes kSnapshotCreate across connections
   std::unique_ptr<snap::Checkpointer<Backend>> checkpointer_;

@@ -35,6 +35,10 @@ struct BackendStats {
   std::uint64_t batches = 0;
   std::uint64_t deadline_batches = 0;
   std::uint64_t ops_served = 0;
+  /// Writes refused because their table was full (MapUpsert::kFull). Only
+  /// a held snapshot cut, which parks the backlog grow, makes this
+  /// reachable; a refused op answers won=false and may be retried.
+  std::uint64_t full_refusals = 0;
   std::uint64_t keys = 0;  ///< live committed keys across all shards
   int shards = 1;
   std::uint64_t shard_local_ops = 0;

@@ -43,7 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,13 +135,9 @@ class ShardedScheduler {
   /// only grow/reclaim park while the cut is held (the batch epilog
   /// checks cuts_held()).
   [[nodiscard]] snap::SnapshotCut mint_cut() {
-    util::Backoff backoff;
-    while (pump_lock_.test_and_set(std::memory_order_acquire)) backoff.pause();
-    const snap::SnapshotCut cut{arbiter_.round(),
-                                static_cast<std::uint32_t>(shards_.size())};
+    const std::lock_guard<util::SpinLock> lock(pump_lock_);
     cuts_held_.fetch_add(1, std::memory_order_acq_rel);
-    pump_lock_.clear(std::memory_order_release);
-    return cut;
+    return {arbiter_.round(), static_cast<std::uint32_t>(shards_.size())};
   }
 
   void release_cut() noexcept { cuts_held_.fetch_sub(1, std::memory_order_acq_rel); }
@@ -205,6 +201,7 @@ class ShardedScheduler {
     st.batches = batches();
     st.deadline_batches = deadline_batches();
     st.ops_served = ops_served();
+    st.full_refusals = full_refusals_.load(std::memory_order_relaxed);
     st.shards = shard_count();
     for (const auto& s : shards_) st.keys += s->table.size();
     st.shard_local_ops = metrics_.route_local();
@@ -215,7 +212,7 @@ class ShardedScheduler {
  private:
   // One shard: its table, its optional contention site, and the pump's
   // per-batch working state. Padded so two shards' slice-local fields
-  // (wins/full, written by different omp threads) never share a line.
+  // (wins/refused, written by different omp threads) never share a line.
   struct alignas(util::kCacheLineSize) Shard {
     Shard(std::uint64_t expected_keys, ds::HashConfig hc)
         : table(expected_keys, std::move(hc)) {}
@@ -225,7 +222,7 @@ class ShardedScheduler {
     std::vector<Record> pending;     // drained this batch (pump-private)
     std::uint64_t ops_total = 0;     // lifetime executed ops (pump-serial)
     std::uint64_t wins = 0;          // this slice (owning thread only)
-    bool full = false;               // this slice (owning thread only)
+    std::uint64_t refused = 0;       // kFull writes, this slice (owning thread only)
   };
 
   [[nodiscard]] static int lanes_per_shard(const ServeConfig& v) noexcept {
@@ -252,11 +249,15 @@ class ShardedScheduler {
   bool run_batch(bool force) {
     bool by_deadline = false;
     if (!force && !trigger_fired(by_deadline)) return false;
-    if (pump_lock_.test_and_set(std::memory_order_acquire)) return false;
+    const std::unique_lock<util::SpinLock> lock(pump_lock_, std::try_to_lock);
+    if (!lock.owns_lock()) return false;
 
     // Drain lane-by-lane: a routed lane lands wholesale in its shard's
     // pending list (local); strays — raw enqueues that bypassed route()
-    // — are re-routed here and counted foreign.
+    // — are re-routed here and counted foreign. The lists are cleared here
+    // rather than after the batch, so a batch that threw cannot leave its
+    // records to be executed again.
+    for (auto& s : shards_) s->pending.clear();
     std::uint64_t drained = 0;
     std::uint64_t local = 0;
     std::uint64_t foreign = 0;
@@ -281,39 +282,34 @@ class ShardedScheduler {
       }
     }
 
-    bool executed = false;
-    if (drained > 0) {
-      std::size_t slices = 0;
-      for (const auto& s : shards_) {
-        const std::size_t need =
-            (s->pending.size() + cfg_.batch.max_batch - 1) / cfg_.batch.max_batch;
-        slices = std::max(slices, need);
-      }
-      for (std::size_t j = 0; j < slices; ++j) execute_slice(j);
-
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      if (by_deadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
-      ops_served_.fetch_add(drained, std::memory_order_relaxed);
-      metrics_.batch_closed();
-      metrics_.routed(local, foreign);
-      // Batch boundary = step boundary: each shard decides its own
-      // grow/reclaim fate — a tombstone-heavy shard rebuilds toward its
-      // live count while its neighbours stay put. The shard's own probe
-      // telemetry feeds the trigger, so with reclaim_probe_p99 /
-      // reclaim_fp_rate set a shard also rebuilds when its walks
-      // demonstrably degrade, ahead of the static tombstone watermark.
-      // Parked while any snapshot cut is held: reclaim frees a shard's
-      // bucket array while a concurrent scan_shard_at may be walking it.
-      for (auto& s : shards_) {
-        s->pending.clear();
-        if (cuts_held() == 0) {
-          (void)s->table.maybe_reclaim_parallel(threads_, s->table.telemetry_signal());
-        }
-      }
-      executed = true;
+    if (drained == 0) return false;
+    std::size_t slices = 0;
+    for (const auto& s : shards_) {
+      const std::size_t need =
+          (s->pending.size() + cfg_.batch.max_batch - 1) / cfg_.batch.max_batch;
+      slices = std::max(slices, need);
     }
-    pump_lock_.clear(std::memory_order_release);
-    return executed;
+    for (std::size_t j = 0; j < slices; ++j) execute_slice(j);
+
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    if (by_deadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
+    ops_served_.fetch_add(drained, std::memory_order_relaxed);
+    metrics_.batch_closed();
+    metrics_.routed(local, foreign);
+    // Batch boundary = step boundary: each shard decides its own
+    // grow/reclaim fate — a tombstone-heavy shard rebuilds toward its
+    // live count while its neighbours stay put. The shard's own probe
+    // telemetry feeds the trigger, so with reclaim_probe_p99 /
+    // reclaim_fp_rate set a shard also rebuilds when its walks
+    // demonstrably degrade, ahead of the static tombstone watermark.
+    // Parked while any snapshot cut is held: reclaim frees a shard's
+    // bucket array while a concurrent scan_shard_at may be walking it.
+    if (cuts_held() == 0) {
+      for (auto& s : shards_) {
+        (void)s->table.maybe_reclaim_parallel(threads_, s->table.telemetry_signal());
+      }
+    }
+    return true;
   }
 
   /// Window of shard s in slice j: [j·max_batch, …) clamped to pending.
@@ -334,9 +330,11 @@ class ShardedScheduler {
     // inside the execution region below).
     std::uint64_t admitted = 0;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& shard = *shards_[s];
+      shard.wins = 0;
+      shard.refused = 0;
       const auto [begin, end] = window(s, j);
       if (begin == end) continue;
-      Shard& shard = *shards_[s];
       std::uint64_t write_count = 0;
       for (std::size_t i = begin; i < end; ++i) {
         const Record& rec = shard.pending[i];
@@ -358,10 +356,9 @@ class ShardedScheduler {
       if (shard.site) shard.site->add_attempts(ops);
       // Backlog grow parks too while a cut is held (grow frees the old
       // bucket array under a live scan); snapshot workloads pre-size via
-      // TableConfig::expected_keys.
+      // TableConfig::expected_keys. A write that then finds its shard full
+      // is refused (won=false, counted in full_refusals) and may retry.
       if (cuts_held() == 0) shard.table.maybe_grow_for_backlog(write_count, threads_);
-      shard.wins = 0;
-      shard.full = false;
     }
     metrics_.ops_admitted(admitted);
 
@@ -398,11 +395,11 @@ class ShardedScheduler {
     }
 
     std::uint64_t wins = 0;
-    bool full = false;
+    std::uint64_t refused = 0;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard& shard = *shards_[s];
       wins += shard.wins;
-      full = full || shard.full;
+      refused += shard.refused;
       const auto [begin, end] = window(s, j);
       if (begin != end) metrics_.record_shard_round_ops(end - begin);
       if (shard.site) {
@@ -411,9 +408,7 @@ class ShardedScheduler {
       }
       shard.table.flush_round();
     }
-    if (full) {
-      throw std::runtime_error("serve: shard full despite backlog reservation");
-    }
+    if (refused != 0) full_refusals_.fetch_add(refused, std::memory_order_relaxed);
     metrics_.write_wins(wins);
     metrics_.flush_round();
   }
@@ -456,7 +451,7 @@ class ShardedScheduler {
           break;
         }
         case ds::MapUpsert::kFull:
-          shard.full = true;
+          ++shard.refused;
           publish(rec, Result{0, false, r});
           break;
       }
@@ -481,7 +476,7 @@ class ShardedScheduler {
   // per-key arbitration lives in the shards' buckets (CAS-LT needs no
   // reset sweep, so next_round(kNone) is one increment).
   WriteArbiter<CasLtPolicy> arbiter_{0};
-  std::atomic_flag pump_lock_;
+  util::SpinLock pump_lock_;
   // Snapshot cuts currently held (mint_cut/release_cut). While > 0 every
   // shard's epilog skips reclaim and backlog grow — both free bucket
   // arrays that concurrent cut-predicated scans are walking.
@@ -494,6 +489,7 @@ class ShardedScheduler {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> deadline_batches_{0};
   std::atomic<std::uint64_t> ops_served_{0};
+  std::atomic<std::uint64_t> full_refusals_{0};
 };
 
 }  // namespace crcw::serve

@@ -13,6 +13,11 @@
 //     pending work (they get a fresh id), so a pipelined mixed workload
 //     converges without head-of-line blocking.
 //
+// Requests are not sent one frame per syscall: every frame of a window
+// refill, and every re-issued lookup, is appended to one buffer that
+// leaves in a single write just before the client blocks on a read. The
+// bytes on the wire are the same; the server sees whole bursts.
+//
 // One WireClient per thread; it owns one connection and is not
 // thread-safe (open several clients for concurrent load).
 #pragma once
@@ -74,7 +79,7 @@ class WireClient {
 
   /// One round trip with no RYW tracking (what the session returned, raw).
   wire::Response call_raw(const Op& op) {
-    send_request(op);
+    queue_request(next_id_++, op);
     wire::Response resp;
     recv_response(resp);
     return resp;
@@ -111,7 +116,7 @@ class WireClient {
       while (sent < ops.size() && in_flight.size() < window) {
         const std::uint64_t id = next_id_++;
         in_flight.emplace(id, sent);
-        send_request_id(id, ops[sent]);
+        queue_request(id, ops[sent]);
         ++sent;
       }
       wire::Response resp;
@@ -127,7 +132,7 @@ class WireClient {
         ++stale_retries_;
         const std::uint64_t id = next_id_++;  // re-issue, stay in the window
         in_flight.emplace(id, idx);
-        send_request_id(id, op);
+        queue_request(id, op);
         continue;
       }
       if (!is_read_op(op.kind) && !is_snapshot_op(op.kind)) {
@@ -152,17 +157,13 @@ class WireClient {
   [[nodiscard]] std::uint64_t stale_retries() const noexcept { return stale_retries_; }
 
  private:
-  void send_request(const Op& op) { send_request_id(next_id_++, op); }
-
-  void send_request_id(std::uint64_t id, const Op& op) {
-    out_.clear();
-    wire::encode_request({id, op}, out_);
-    if (!net::write_all(fd_, out_.data(), out_.size())) {
-      throw std::runtime_error("serve: wire send failed");
-    }
-  }
+  /// Appends a request frame to the send buffer; the next blocking read
+  /// sends it (recv_response_raw).
+  void queue_request(std::uint64_t id, const Op& op) { wire::encode_request({id, op}, out_); }
 
   /// Next response, id-checked against nothing (pipeline matches ids).
+  /// Sends every queued request before it blocks, so the server always
+  /// holds what this client waits on.
   void recv_response_raw(wire::Response& resp) {
     for (;;) {
       switch (decoder_.next(resp)) {
@@ -171,6 +172,12 @@ class WireClient {
         case wire::DecodeStatus::kError:
           throw std::runtime_error("serve: wire protocol error from server");
         case wire::DecodeStatus::kNeedMore: {
+          if (!out_.empty()) {
+            if (!net::write_all(fd_, out_.data(), out_.size())) {
+              throw std::runtime_error("serve: wire send failed");
+            }
+            out_.clear();
+          }
           const std::ptrdiff_t n = net::read_some(fd_, chunk_, sizeof(chunk_));
           if (n <= 0) throw std::runtime_error("serve: wire connection closed");
           decoder_.feed(chunk_, static_cast<std::size_t>(n));
@@ -208,7 +215,7 @@ class WireClient {
   std::uint64_t stale_retries_ = 0;
   std::vector<round_t> last_write_round_;
   round_t max_write_round_ = 0;
-  std::vector<std::uint8_t> out_;
+  std::vector<std::uint8_t> out_;  // queued request frames, not yet sent
   std::uint8_t chunk_[16 * 1024];
 };
 

@@ -47,7 +47,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -132,12 +132,9 @@ class StreamScheduler {
   /// discipline; whole-state checkpoints go through capture_snapshot
   /// instead so the forest agrees with the edge set.
   [[nodiscard]] snap::SnapshotCut mint_cut() {
-    util::Backoff backoff;
-    while (pump_lock_.test_and_set(std::memory_order_acquire)) backoff.pause();
-    const snap::SnapshotCut cut{arbiter_.round(), 1};
+    const std::lock_guard<util::SpinLock> lock(pump_lock_);
     cuts_held_.fetch_add(1, std::memory_order_acq_rel);
-    pump_lock_.clear(std::memory_order_release);
-    return cut;
+    return {arbiter_.round(), 1};
   }
 
   void release_cut() noexcept { cuts_held_.fetch_sub(1, std::memory_order_acq_rel); }
@@ -172,12 +169,10 @@ class StreamScheduler {
   template <typename EdgeFn, typename ParentFn>
   [[nodiscard]] snap::SnapshotCut capture_snapshot(EdgeFn&& on_edge,
                                                    ParentFn&& on_parent) {
-    util::Backoff backoff;
-    while (pump_lock_.test_and_set(std::memory_order_acquire)) backoff.pause();
+    const std::lock_guard<util::SpinLock> lock(pump_lock_);
     const snap::SnapshotCut cut{arbiter_.round(), 1};
     graph_.table().for_each_at(cut.round, std::forward<EdgeFn>(on_edge));
     cc_.for_each_parent(std::forward<ParentFn>(on_parent));
-    pump_lock_.clear(std::memory_order_release);
     return cut;
   }
 
@@ -222,6 +217,7 @@ class StreamScheduler {
     st.batches = batches_.load(std::memory_order_relaxed);
     st.deadline_batches = deadline_batches_.load(std::memory_order_relaxed);
     st.ops_served = ops_served_.load(std::memory_order_relaxed);
+    st.full_refusals = full_refusals_.load(std::memory_order_relaxed);
     st.keys = graph_.edges();
     st.shards = shard_count();
     st.shard_local_ops = metrics_.route_local();
@@ -239,7 +235,7 @@ class StreamScheduler {
     std::uint64_t ops_total = 0;          // lifetime executed ops (pump-serial)
     std::uint64_t wins = 0;               // this slice (owning thread only)
     std::uint64_t hooks = 0;              // forest links, this slice
-    bool full = false;                    // this slice (owning thread only)
+    std::uint64_t refused = 0;            // kFull writes, this slice (owning thread only)
   };
 
   /// Admission vocabulary: what this backend does with a record. KV kinds
@@ -297,8 +293,12 @@ class StreamScheduler {
   bool run_batch(bool force) {
     bool by_deadline = false;
     if (!force && !trigger_fired(by_deadline)) return false;
-    if (pump_lock_.test_and_set(std::memory_order_acquire)) return false;
+    const std::unique_lock<util::SpinLock> lock(pump_lock_, std::try_to_lock);
+    if (!lock.owns_lock()) return false;
 
+    // Cleared here rather than after the batch, so a batch that threw
+    // cannot leave its records to be executed again.
+    for (auto& s : stripes_) s->pending.clear();
     std::uint64_t drained = 0;
     std::uint64_t local = 0;
     std::uint64_t foreign = 0;
@@ -319,34 +319,29 @@ class StreamScheduler {
       }
     }
 
-    bool executed = false;
-    if (drained > 0) {
-      std::size_t slices = 0;
-      for (const auto& s : stripes_) {
-        const std::size_t need =
-            (s->pending.size() + cfg_.batch.max_batch - 1) / cfg_.batch.max_batch;
-        slices = std::max(slices, need);
-      }
-      for (std::size_t j = 0; j < slices; ++j) execute_slice(j);
-
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      if (by_deadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
-      ops_served_.fetch_add(drained, std::memory_order_relaxed);
-      metrics_.batch_closed();
-      metrics_.routed(local, foreign);
-      for (auto& s : stripes_) s->pending.clear();
-      // Batch boundary = step boundary: the edge table reclaims when its
-      // tombstone watermark OR its own probe telemetry says the churn has
-      // degraded walks (the signal-driven trigger). Parked while any
-      // snapshot cut is held — reclaim frees the bucket array a concurrent
-      // cut-predicated scan may still be walking.
-      if (cuts_held() == 0 && graph_.maybe_reclaim(threads_)) {
-        reclaims_.fetch_add(1, std::memory_order_relaxed);
-      }
-      executed = true;
+    if (drained == 0) return false;
+    std::size_t slices = 0;
+    for (const auto& s : stripes_) {
+      const std::size_t need =
+          (s->pending.size() + cfg_.batch.max_batch - 1) / cfg_.batch.max_batch;
+      slices = std::max(slices, need);
     }
-    pump_lock_.clear(std::memory_order_release);
-    return executed;
+    for (std::size_t j = 0; j < slices; ++j) execute_slice(j);
+
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    if (by_deadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
+    ops_served_.fetch_add(drained, std::memory_order_relaxed);
+    metrics_.batch_closed();
+    metrics_.routed(local, foreign);
+    // Batch boundary = step boundary: the edge table reclaims when its
+    // tombstone watermark OR its own probe telemetry says the churn has
+    // degraded walks (the signal-driven trigger). Parked while any
+    // snapshot cut is held — reclaim frees the bucket array a concurrent
+    // cut-predicated scan may still be walking.
+    if (cuts_held() == 0 && graph_.maybe_reclaim(threads_)) {
+      reclaims_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return true;
   }
 
   [[nodiscard]] std::pair<std::size_t, std::size_t> window(std::size_t s,
@@ -367,9 +362,13 @@ class StreamScheduler {
     std::uint64_t admitted = 0;
     std::uint64_t write_count = 0;
     for (std::size_t s = 0; s < stripes_.size(); ++s) {
+      Stripe& stripe = *stripes_[s];
+      stripe.wins = 0;
+      stripe.hooks = 0;
+      stripe.refused = 0;
+      stripe.deleted.clear();
       const auto [begin, end] = window(s, j);
       if (begin == end) continue;
-      Stripe& stripe = *stripes_[s];
       for (std::size_t i = begin; i < end; ++i) {
         const serve::Record& rec = stripe.pending[i];
         if (rec.enqueue_ns != 0) metrics_.record_admit(rec.enqueue_ns, admit_ns_);
@@ -387,15 +386,12 @@ class StreamScheduler {
       const auto ops = static_cast<std::uint64_t>(end - begin);
       admitted += ops;
       stripe.ops_total += ops;
-      stripe.wins = 0;
-      stripe.hooks = 0;
-      stripe.full = false;
-      stripe.deleted.clear();
     }
     metrics_.ops_admitted(admitted);
     // Backlog grow parks while a cut is held (grow frees the old bucket
     // array under a live scan); stream checkpoint workloads pre-size via
-    // StreamConfig::expected_edges.
+    // StreamConfig::expected_edges. A write that then finds the table
+    // full is refused (won=false, counted in full_refusals).
     if (cuts_held() == 0) graph_.maybe_grow_for_backlog(write_count, threads_);
 
     const auto scope = arbiter_.next_round(ResetMode::kNone);
@@ -434,13 +430,13 @@ class StreamScheduler {
     // round's queries.
     std::uint64_t wins = 0;
     std::uint64_t hooks = 0;
-    bool full = false;
+    std::uint64_t refused = 0;
     touched_.clear();
     for (std::size_t s = 0; s < stripes_.size(); ++s) {
       Stripe& stripe = *stripes_[s];
       wins += stripe.wins;
       hooks += stripe.hooks;
-      full = full || stripe.full;
+      refused += stripe.refused;
       touched_.insert(touched_.end(), stripe.deleted.begin(), stripe.deleted.end());
       const auto [begin, end] = window(s, j);
       if (begin != end) metrics_.record_shard_round_ops(end - begin);
@@ -457,9 +453,7 @@ class StreamScheduler {
     if (hooks != 0 || !touched_.empty()) cc_.compact(threads_);
     cc_.flush_round();
     graph_.table().flush_round();
-    if (full) {
-      throw std::runtime_error("stream: edge table full despite backlog reservation");
-    }
+    if (refused != 0) full_refusals_.fetch_add(refused, std::memory_order_relaxed);
     metrics_.write_wins(wins);
     metrics_.flush_round();
   }
@@ -521,7 +515,7 @@ class StreamScheduler {
             break;
           }
           case ds::MapUpsert::kFull:
-            stripe.full = true;
+            ++stripe.refused;
             publish(rec, serve::Result{0, false, r});
             break;
         }
@@ -533,6 +527,8 @@ class StreamScheduler {
             stripe.deleted.push_back(e.u);
             stripe.deleted.push_back(e.v);
           }
+        } else if (outcome == ds::MapUpsert::kFull) {
+          ++stripe.refused;
         }
         publish(rec, serve::Result{0, outcome == ds::MapUpsert::kWon, r});
       }
@@ -558,7 +554,7 @@ class StreamScheduler {
   // One arbiter = one logical round id for the whole graph (CAS-LT needs
   // no reset sweep, so next_round(kNone) is one increment).
   WriteArbiter<CasLtPolicy> arbiter_{0};
-  std::atomic_flag pump_lock_;
+  util::SpinLock pump_lock_;
   // Snapshot cuts currently held (mint_cut/release_cut). While > 0 the
   // batch epilog skips edge-table reclaim and backlog grow — both free
   // the bucket array concurrent cut-predicated scans are walking.
@@ -573,6 +569,7 @@ class StreamScheduler {
   std::atomic<std::uint64_t> deadline_batches_{0};
   std::atomic<std::uint64_t> ops_served_{0};
   std::atomic<std::uint64_t> reclaims_{0};
+  std::atomic<std::uint64_t> full_refusals_{0};
 };
 
 }  // namespace crcw::stream

@@ -67,6 +67,26 @@ class Backoff {
   std::uint32_t spins_;
 };
 
+/// A test-and-set flag with the standard Lockable surface, so that
+/// std::lock_guard and std::unique_lock (std::try_to_lock) release it on
+/// every exit path, exceptions included. lock() spins with Backoff.
+class SpinLock {
+ public:
+  [[nodiscard]] bool try_lock() noexcept {
+    return !flag_.test_and_set(std::memory_order_acquire);
+  }
+
+  void lock() noexcept {
+    Backoff backoff;
+    while (!try_lock()) backoff.pause();
+  }
+
+  void unlock() noexcept { flag_.clear(std::memory_order_release); }
+
+ private:
+  std::atomic_flag flag_;
+};
+
 /// Adaptive ceiling for a family of Backoff loops at one contention site
 /// (the ROADMAP contention item): observe() folds a failure-rate sample —
 /// failed RMWs over issued RMWs, e.g. a ContentionSite's atomics vs wins —
