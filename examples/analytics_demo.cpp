@@ -10,7 +10,6 @@
 #include <exception>
 #include <iostream>
 #include <set>
-#include <vector>
 
 #include "algorithms/bicc.hpp"
 #include "algorithms/cc.hpp"
@@ -120,12 +119,8 @@ int main(int argc, char** argv) try {
   {
     const auto cc = crcw::algo::cc_caslt(g, {.threads = threads});
     crcw::graph::EdgeList tree_edges;
-    std::vector<crcw::graph::vertex_t> slot_src(g.num_edges());
-    for (crcw::graph::vertex_t u = 0; u < n; ++u) {
-      for (auto j = g.offset(u); j < g.offset(u) + g.degree(u); ++j) slot_src[j] = u;
-    }
     for (const auto j : cc.forest_edges) {
-      tree_edges.push_back({slot_src[j], g.targets()[j]});
+      tree_edges.push_back({g.source_of(j), g.targets()[j]});
     }
     const auto tree = crcw::graph::build_csr(n, tree_edges);
     crcw::util::Timer t;

@@ -64,17 +64,11 @@ BiccResult biconnected_components(std::uint64_t n, const EdgeList& edges,
   const CcResult cc = cc_caslt(g, {.threads = opts.threads});
   if (cc.components != 1) throw std::invalid_argument("bicc: graph not connected");
 
+  // forest_edges are CSR slots; recover (source, target) pairs.
   EdgeList tree_edges;
   tree_edges.reserve(n - 1);
-  {
-    // forest_edges are CSR slots; recover (source, target) pairs.
-    std::vector<vertex_t> slot_src(g.num_edges());
-    for (vertex_t u = 0; u < n; ++u) {
-      for (edge_t j = g.offset(u); j < g.offset(u) + g.degree(u); ++j) slot_src[j] = u;
-    }
-    for (const edge_t j : cc.forest_edges) {
-      tree_edges.push_back({slot_src[j], g.targets()[j]});
-    }
+  for (const edge_t j : cc.forest_edges) {
+    tree_edges.push_back({g.source_of(j), g.targets()[j]});
   }
   const Csr tree = graph::build_csr(n, tree_edges);
 

@@ -2,14 +2,16 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
+#include <span>
 #include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "core/arbiter.hpp"
 #include "core/combining.hpp"
 #include "core/instrumented.hpp"
+#include "util/chunking.hpp"
 
 namespace crcw::algo {
 namespace {
@@ -34,25 +36,40 @@ inline void store_b(std::uint8_t& cell, std::uint8_t value) noexcept {
   std::atomic_ref<std::uint8_t>(cell).store(value, std::memory_order_relaxed);
 }
 
-/// Flat directed edge arrays — "parallelizing across all edges to perform
-/// the hooking step" (§7.2).
-struct FlatEdges {
-  std::vector<vertex_t> src;
-  std::vector<vertex_t> dst;
-
-  explicit FlatEdges(const Csr& g) {
-    src.resize(g.num_edges());
-    dst.resize(g.num_edges());
-    edge_t j = 0;
-    for (vertex_t u = 0; u < g.num_vertices(); ++u) {
-      for (const vertex_t v : g.neighbors(u)) {
-        src[j] = u;
-        dst[j] = v;
-        ++j;
-      }
+/// "Parallelizing across all edges to perform the hooking step" (§7.2),
+/// walking the CSR in place instead of a copied edge list. Slots are cut
+/// into util::kEdgeChunk-slot chunks handed out one at a time, so a hub's
+/// long list spreads over the team; each chunk finds its first source with
+/// Csr::source_of and then steps through the sources in order, skipping
+/// zero-degree vertices. `body(u, first, last)` gets the nonempty slot
+/// range [first, last) of u's list that lies in the chunk, and returns true
+/// when it changed shared state; the sweep returns whether any call did.
+///
+/// Handing the body a whole list lets it test a per-source guard once per
+/// list. A hook round's guard `star[u]` depends on the source alone, so a
+/// body that skips a non-star list skips only edges whose per-edge test
+/// would have been false: every round makes exactly the acquire() attempts
+/// of an edge-by-edge sweep, and the winners, the recorded hook slots and
+/// the instrumented attempt counts keep their meaning.
+template <class Body>
+std::uint8_t sweep_edges(const Csr& g, int threads, const Body& body) {
+  const edge_t m = g.num_edges();
+  const std::span<const edge_t> offsets = g.offsets();
+  const auto chunks = static_cast<std::int64_t>((m + util::kEdgeChunk - 1) / util::kEdgeChunk);
+  std::uint8_t any = 0;
+#pragma omp parallel for num_threads(threads) schedule(dynamic, 1) reduction(| : any)
+  for (std::int64_t c = 0; c < chunks; ++c) {
+    edge_t first = static_cast<edge_t>(c) * util::kEdgeChunk;
+    const edge_t end = std::min(m, first + util::kEdgeChunk);
+    for (vertex_t u = g.source_of(first); first < end; ++u) {
+      const edge_t last = std::min(end, offsets[u + 1]);
+      if (last == first) continue;  // zero-degree vertex: owns no slot
+      if (body(u, first, last)) any = 1;
+      first = last;
     }
   }
-};
+  return any;
+}
 
 /// Star detection (A-S); correct for arbitrary forest depth:
 ///   1. star[v] = true
@@ -85,9 +102,17 @@ void detect_stars(const std::vector<vertex_t>& parent, std::vector<std::uint8_t>
   }
 }
 
-std::uint64_t count_labels(const std::vector<vertex_t>& label) {
-  std::unordered_set<vertex_t> roots(label.begin(), label.end());
-  return roots.size();
+/// Roots of a converged forest (label[v] == v). Pointer jumping has
+/// reached its fixpoint, so every label is a root that labels itself, and
+/// the roots are exactly the distinct labels.
+std::uint64_t count_roots(const std::vector<vertex_t>& label, int threads) {
+  const auto n = static_cast<std::int64_t>(label.size());
+  std::uint64_t roots = 0;
+#pragma omp parallel for num_threads(threads) schedule(static) reduction(+ : roots)
+  for (std::int64_t v = 0; v < n; ++v) {
+    if (label[static_cast<std::size_t>(v)] == static_cast<vertex_t>(v)) ++roots;
+  }
+  return roots;
 }
 
 }  // namespace
@@ -104,9 +129,7 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
   result.label.resize(n);
   if (n == 0) return result;
 
-  const FlatEdges edges(g);
-  const auto ecount = static_cast<std::int64_t>(edges.src.size());
-
+  const std::span<const vertex_t> targets = g.targets();
   std::vector<vertex_t>& parent = result.label;  // P[], doubles as the output
   std::vector<vertex_t> snapshot(n);             // pre-substep P (PRAM read set)
   std::vector<std::uint8_t> star(n);
@@ -162,23 +185,22 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
     reset_tags();
     {
       auto scope = arbiter.next_round(ResetMode::kCaller);
-#pragma omp parallel for num_threads(threads) schedule(static) \
-    reduction(| : any_change)
-      for (std::int64_t j = 0; j < ecount; ++j) {
-        const vertex_t u = edges.src[static_cast<std::size_t>(j)];
-        const vertex_t v = edges.dst[static_cast<std::size_t>(j)];
+      any_change |= sweep_edges(g, threads, [&](vertex_t u, edge_t first, edge_t last) {
+        if (star[u] == 0) return false;
         const vertex_t pu = snapshot[u];
-        const vertex_t pv = snapshot[v];
-        if (star[u] != 0 && pv < pu) {
-          if (scope.acquire(pu)) {
+        bool hooked = false;
+        for (edge_t j = first; j < last; ++j) {
+          const vertex_t pv = snapshot[targets[j]];
+          if (pv < pu && scope.acquire(pu)) {
             // The multi-array hook update of §7.2: new parent + hook edge
             // must come from ONE winning edge, or the pair is inconsistent.
             store_v(parent[pu], pv);
-            hook_edge[pu] = static_cast<edge_t>(j);
-            any_change = 1;
+            hook_edge[pu] = j;
+            hooked = true;
           }
         }
-      }
+        return hooked;
+      });
     }
 
     // --- 3. star detection on the hooked forest ----------------------------
@@ -203,21 +225,20 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
     reset_tags();
     {
       auto scope = arbiter.next_round(ResetMode::kCaller);
-#pragma omp parallel for num_threads(threads) schedule(static) \
-    reduction(| : any_change)
-      for (std::int64_t j = 0; j < ecount; ++j) {
-        const vertex_t u = edges.src[static_cast<std::size_t>(j)];
-        const vertex_t v = edges.dst[static_cast<std::size_t>(j)];
+      any_change |= sweep_edges(g, threads, [&](vertex_t u, edge_t first, edge_t last) {
+        if (star[u] == 0) return false;
         const vertex_t pu = snapshot[u];
-        const vertex_t pv = snapshot[v];
-        if (star[u] != 0 && pv > pu && snapshot[pv] == pv) {
-          if (scope.acquire(pu)) {
+        bool hooked = false;
+        for (edge_t j = first; j < last; ++j) {
+          const vertex_t pv = snapshot[targets[j]];
+          if (pv > pu && snapshot[pv] == pv && scope.acquire(pu)) {
             store_v(parent[pu], pv);
-            hook_edge[pu] = static_cast<edge_t>(j);
-            any_change = 1;
+            hook_edge[pu] = j;
+            hooked = true;
           }
         }
-      }
+        return hooked;
+      });
     }
 
     // --- 5. pointer jumping -------------------------------------------------
@@ -236,7 +257,7 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
   }
 
   result.iterations = iterations;
-  result.components = count_labels(result.label);
+  result.components = count_roots(result.label, threads);
   // A root is hooked at most once in its lifetime (a hooked root never
   // becomes a root again), so the per-root hook records are final and
   // together form the spanning forest: one edge per merged tree.
@@ -289,9 +310,7 @@ CcResult cc_min_hook(const Csr& g, const CcOptions& opts) {
   result.label.resize(n);
   if (n == 0) return result;
 
-  const FlatEdges edges(g);
-  const auto ecount = static_cast<std::int64_t>(edges.src.size());
-
+  const std::span<const vertex_t> targets = g.targets();
   std::vector<vertex_t>& parent = result.label;
   std::vector<vertex_t> snapshot(n);
 
@@ -324,17 +343,19 @@ CcResult cc_min_hook(const Csr& g, const CcOptions& opts) {
     // invariant and the forest can never form a cycle, whatever the
     // interleaving — monotonicity replaces A-S's star machinery.
     take_snapshot();
-#pragma omp parallel for num_threads(threads) schedule(static) \
-    reduction(| : any_change)
-    for (std::int64_t j = 0; j < ecount; ++j) {
-      const vertex_t pu = snapshot[edges.src[static_cast<std::size_t>(j)]];
-      const vertex_t pv = snapshot[edges.dst[static_cast<std::size_t>(j)]];
-      if (pu == pv) continue;
-      const vertex_t lo = pu < pv ? pu : pv;
-      const vertex_t hi = pu < pv ? pv : pu;
-      std::atomic_ref<vertex_t> cell(parent[hi]);
-      if (atomic_fetch_min(cell, lo)) any_change = 1;
-    }
+    any_change |= sweep_edges(g, threads, [&](vertex_t u, edge_t first, edge_t last) {
+      const vertex_t pu = snapshot[u];
+      bool lowered = false;
+      for (edge_t j = first; j < last; ++j) {
+        const vertex_t pv = snapshot[targets[j]];
+        if (pu == pv) continue;
+        const vertex_t lo = pu < pv ? pu : pv;
+        const vertex_t hi = pu < pv ? pv : pu;
+        std::atomic_ref<vertex_t> cell(parent[hi]);
+        if (atomic_fetch_min(cell, lo)) lowered = true;
+      }
+      return lowered;
+    });
 
     // Full pointer compression: jump until every pointer is a fixpoint.
     bool compressing = true;
@@ -358,7 +379,7 @@ CcResult cc_min_hook(const Csr& g, const CcOptions& opts) {
   }
 
   result.iterations = iterations;
-  result.components = count_labels(result.label);
+  result.components = count_roots(result.label, threads);
   return result;
 }
 

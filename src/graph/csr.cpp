@@ -40,6 +40,17 @@ void Csr::validate() const {
   }
 }
 
+vertex_t Csr::source_of(edge_t slot) const {
+  if (slot >= num_edges()) {
+    throw std::out_of_range("CSR: slot " + std::to_string(slot) + " >= edge count " +
+                            std::to_string(num_edges()));
+  }
+  // The last offset <= slot; ties (zero-degree runs) resolve to the run's
+  // final vertex, whose list is the one that holds the slot.
+  const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), slot);
+  return static_cast<vertex_t>(it - offsets_.begin() - 1);
+}
+
 bool Csr::has_edge(vertex_t u, vertex_t v) const {
   const auto adj = neighbors(u);
   if (std::is_sorted(adj.begin(), adj.end())) {

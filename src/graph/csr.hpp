@@ -57,6 +57,12 @@ class Csr {
   [[nodiscard]] std::span<const edge_t> offsets() const noexcept { return offsets_; }
   [[nodiscard]] std::span<const vertex_t> targets() const noexcept { return targets_; }
 
+  /// The source of edge slot `slot`: the one u with offset(u) <= slot <
+  /// offset(u + 1), found by binary search over the offsets (zero-degree
+  /// vertices own no slot and are never returned). Throws
+  /// std::out_of_range when slot >= num_edges().
+  [[nodiscard]] vertex_t source_of(edge_t slot) const;
+
   /// True iff the directed edge (u → v) exists (binary search if sorted,
   /// linear otherwise). For verifying BFS parents.
   [[nodiscard]] bool has_edge(vertex_t u, vertex_t v) const;

@@ -20,13 +20,20 @@
 //     fetch_add (core/slot_alloc.hpp). 256 divides the shared-cursor RMW
 //     rate by 256 versus per-discovery fetch_add while bounding per-lane
 //     waste (holes) to lanes×256 slots per round.
+//   * kEdgeChunk (2^16): CSR slots per dynamic grab in edge-parallel sweeps
+//     that walk the CSR in place (CC hooking). A chunk covers the same
+//     number of edges wherever it starts, so one hub's list spreads over
+//     several threads; each chunk pays one binary search over the offsets
+//     for its first source, which 2^16 slots amortise to nothing, and a
+//     2^24-slot graph still yields 256 grabs to balance over the team.
+//     Compile-time only: no env override.
 //
-// Both dynamic-schedule chunks were sanity-checked against the
+// The two vertex-loop chunks were sanity-checked against the
 // ablation_schedule harness (static/dynamic/guided over the same irregular
 // workload); re-run it when porting to new hardware. For experiments the
 // env vars below override the defaults at process start (first call wins):
 //
-//   CRCW_CHUNK=<n>        forces BOTH dynamic-schedule chunk sizes to n
+//   CRCW_CHUNK=<n>        forces both vertex-loop chunk sizes to n
 //   CRCW_SLOT_CHUNK=<n>   overrides the SlotAllocator grant size
 #pragma once
 
@@ -38,6 +45,7 @@ namespace crcw::util {
 inline constexpr int kFrontierChunk = 64;
 inline constexpr int kBottomUpChunk = 256;
 inline constexpr std::uint64_t kSlotChunk = 256;
+inline constexpr std::uint64_t kEdgeChunk = std::uint64_t{1} << 16;
 
 namespace detail {
 inline long chunk_env(const char* name, long fallback) noexcept {

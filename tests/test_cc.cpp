@@ -4,18 +4,39 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "algorithms/dispatch.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/reference.hpp"
+#include "util/chunking.hpp"
 
 namespace crcw::algo {
 namespace {
 
 using graph::Csr;
+using graph::edge_t;
 using graph::vertex_t;
+
+/// The multi-array hook record really is a spanning forest — the §7.2
+/// reason CC demands single-winner CW: n − components valid slots, each
+/// merging two distinct trees, with exactly the connectivity of the labels.
+void expect_spanning_forest(const Csr& g, const CcResult& r) {
+  ASSERT_EQ(r.forest_edges.size(), g.num_vertices() - r.components);
+  graph::UnionFind uf(g.num_vertices());
+  for (const edge_t j : r.forest_edges) {
+    ASSERT_LT(j, g.num_edges());
+    ASSERT_TRUE(uf.unite(g.source_of(j), g.targets()[j])) << "cycle edge at slot " << j;
+  }
+  ASSERT_EQ(uf.num_sets(), r.components);
+  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(uf.find(v), uf.find(r.label[v])) << "v=" << v;
+  }
+}
 
 struct GraphCase {
   std::string name;
@@ -41,6 +62,15 @@ GraphCase make_case(const std::string& name) {
 }
 
 using CcParam = std::tuple<std::string, std::string, int>;
+
+std::string param_name(const ::testing::TestParamInfo<CcParam>& pinfo) {
+  auto name = std::get<0>(pinfo.param) + "_" + std::get<1>(pinfo.param) + "_t" +
+              std::to_string(std::get<2>(pinfo.param));
+  for (auto& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
 
 class CcMethodTest : public ::testing::TestWithParam<CcParam> {};
 
@@ -70,14 +100,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("path", "star", "cycle", "grid", "gnm", "planted5", "isolated",
                           "twopair"),
         ::testing::Values(1, 8)),
-    [](const ::testing::TestParamInfo<CcParam>& pinfo) {
-      auto name = std::get<0>(pinfo.param) + "_" + std::get<1>(pinfo.param) + "_t" +
-                  std::to_string(std::get<2>(pinfo.param));
-      for (auto& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    param_name);
 
 // ---------------------------------------------------------------------------
 
@@ -133,31 +156,11 @@ TEST(Cc, AllMethodsProduceIdenticalCanonicalLabels) {
   }
 }
 
-/// The multi-array hook record really is a spanning forest — the §7.2
-/// reason CC demands single-winner CW: n − components edges, no cycles,
-/// and exactly the connectivity of the full graph.
 TEST(Cc, ForestEdgesFormASpanningForest) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    SCOPED_TRACE(seed);
     const auto g = graph::random_graph(150, 300 + seed * 120, seed);
-    const CcResult r = cc_caslt(g, {.threads = 8});
-    ASSERT_EQ(r.forest_edges.size(), g.num_vertices() - r.components) << seed;
-
-    // Recover endpoints from CSR slots and union them: every edge must
-    // merge two distinct trees (no cycles), and the final partition must
-    // equal the labels.
-    std::vector<vertex_t> src(g.num_edges());
-    for (vertex_t u = 0; u < g.num_vertices(); ++u) {
-      for (graph::edge_t j = g.offset(u); j < g.offset(u) + g.degree(u); ++j) src[j] = u;
-    }
-    graph::UnionFind uf(g.num_vertices());
-    for (const auto j : r.forest_edges) {
-      ASSERT_LT(j, g.num_edges());
-      ASSERT_TRUE(uf.unite(src[j], g.targets()[j])) << "cycle edge in forest, seed " << seed;
-    }
-    ASSERT_EQ(uf.num_sets(), r.components);
-    for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(uf.find(v) == uf.find(static_cast<vertex_t>(r.label[v])), true);
-    }
+    expect_spanning_forest(g, cc_caslt(g, {.threads = 8}));
   }
 }
 
@@ -170,6 +173,188 @@ TEST(Cc, ForestEdgesAcrossAllGuardedMethods) {
   // min-hook uses combining writes (no payload) — no forest by design.
   EXPECT_TRUE(run_cc("min-hook", g).forest_edges.empty());
 }
+
+// ---------------------------------------------------------------------------
+// Graphs whose slots span many util::kEdgeChunk chunks, so the hook sweeps
+// split lists across chunks and start chunks inside zero-degree runs. Each
+// is built once per process.
+
+constexpr edge_t kChunk = util::kEdgeChunk;
+
+/// A star whose centre is the highest id: every slot of the centre's list
+/// contends for the centre's tag, and the list crosses 3 chunk boundaries.
+const Csr& chunked_star() {
+  static const Csr g = [] {
+    const auto centre = static_cast<vertex_t>(3 * kChunk + kChunk / 2);
+    graph::EdgeList edges;
+    for (vertex_t v = 0; v < centre; ++v) edges.push_back({centre, v});
+    return graph::build_csr(centre + 1, edges);
+  }();
+  return g;
+}
+
+/// Runs of zero-degree vertices, each followed by a hub's star that fills
+/// exactly one chunk (leaves first, then the hub): every chunk begins at
+/// an offset that a whole run of zero-degree vertices shares.
+constexpr vertex_t kGapRun = 10'000;
+const Csr& chunked_gaps() {
+  static const Csr g = [] {
+    graph::EdgeList edges;
+    vertex_t next = 0;
+    for (int hub = 0; hub < 3; ++hub) {
+      next += kGapRun;
+      const vertex_t first_leaf = next;
+      next += static_cast<vertex_t>(kChunk / 2);
+      for (vertex_t v = first_leaf; v < next; ++v) edges.push_back({next, v});
+      ++next;
+    }
+    return graph::build_csr(next + kGapRun, edges);
+  }();
+  return g;
+}
+
+const Csr& chunked_rmat() {
+  static const Csr g = graph::build_csr(1 << 16, graph::rmat(1 << 16, 1 << 20, 5));
+  return g;
+}
+
+const Csr& chunked_graph(const std::string& name) {
+  if (name == "star") return chunked_star();
+  if (name == "gaps") return chunked_gaps();
+  if (name == "rmat") return chunked_rmat();
+  throw std::logic_error("unknown case " + name);
+}
+
+TEST(CcChunkedGraphs, CrossChunkBoundaries) {
+  const Csr& star = chunked_star();
+  const auto centre = static_cast<vertex_t>(star.num_vertices() - 1);
+  const edge_t begin = star.offset(centre);
+  const edge_t last = begin + star.degree(centre) - 1;
+  EXPECT_GE(last / kChunk - begin / kChunk, 3u) << "centre list crosses < 3 boundaries";
+
+  const Csr& gaps = chunked_gaps();
+  ASSERT_EQ(gaps.num_edges(), 3 * kChunk);
+  for (edge_t c = 0; c < gaps.num_edges(); c += kChunk) {
+    const vertex_t u = gaps.source_of(c);
+    EXPECT_EQ(gaps.offset(u), c);
+    for (vertex_t w = u - kGapRun; w < u; ++w) ASSERT_EQ(gaps.degree(w), 0u) << "chunk " << c;
+  }
+
+  EXPECT_GT(chunked_rmat().num_edges(), 16 * kChunk);
+}
+
+/// A-S exactly as the hook rounds read it, one edge at a time in slot
+/// order: a serial oracle for a one-thread solve, where the first attempt
+/// on a tag in a round is the one that wins.
+struct EdgeByEdge {
+  std::vector<vertex_t> label;
+  std::vector<edge_t> forest;
+  std::uint64_t iterations = 0;
+  std::uint64_t attempts = 0;
+  std::uint64_t wins = 0;
+};
+
+EdgeByEdge edge_by_edge_solve(const Csr& g) {
+  const auto n = static_cast<vertex_t>(g.num_vertices());
+  EdgeByEdge out;
+  std::vector<vertex_t>& parent = out.label;
+  parent.resize(n);
+  for (vertex_t v = 0; v < n; ++v) parent[v] = v;
+  std::vector<edge_t> hook(n, ~edge_t{0});
+  std::vector<std::uint8_t> star(n);
+  const auto detect_stars = [&] {
+    std::fill(star.begin(), star.end(), 1);
+    for (vertex_t v = 0; v < n; ++v) {
+      const vertex_t p = parent[v];
+      if (p != parent[p]) star[v] = star[p] = star[parent[p]] = 0;
+    }
+    for (vertex_t v = 0; v < n; ++v) star[v] = star[parent[v]];
+  };
+  const auto hook_round = [&](auto guard) {
+    const std::vector<vertex_t> snap = parent;
+    std::vector<std::uint8_t> taken(n, 0);
+    bool changed = false;
+    for (vertex_t u = 0; u < n; ++u) {
+      for (edge_t j = g.offset(u); j < g.offset(u) + g.degree(u); ++j) {
+        const vertex_t pu = snap[u];
+        const vertex_t pv = snap[g.targets()[j]];
+        if (star[u] == 0 || !guard(snap, pu, pv)) continue;
+        ++out.attempts;
+        if (taken[pu] != 0) continue;
+        taken[pu] = 1;
+        ++out.wins;
+        parent[pu] = pv;
+        hook[pu] = j;
+        changed = true;
+      }
+    }
+    return changed;
+  };
+  for (bool changed = true; changed; ++out.iterations) {
+    detect_stars();
+    changed = hook_round([](const auto&, vertex_t pu, vertex_t pv) { return pv < pu; });
+    detect_stars();
+    changed |= hook_round([](const auto& snap, vertex_t pu, vertex_t pv) {
+      return pv > pu && snap[pv] == pv;
+    });
+    const std::vector<vertex_t> snap = parent;
+    for (vertex_t v = 0; v < n; ++v) {
+      changed |= parent[v] != snap[snap[v]];
+      parent[v] = snap[snap[v]];
+    }
+  }
+  for (vertex_t v = 0; v < n; ++v) {
+    if (hook[v] != ~edge_t{0}) out.forest.push_back(hook[v]);
+  }
+  return out;
+}
+
+/// Skipping a non-star source's list, and splitting lists across chunks,
+/// must leave every round's attempts those of an edge-by-edge sweep: at
+/// one thread the solve and its contention counts match the oracle.
+void expect_edge_by_edge(const Csr& g) {
+  const EdgeByEdge want = edge_by_edge_solve(g);
+  const CcResult r = cc_caslt(g, {.threads = 1});
+  const auto totals = profile_cc("caslt", g, {.threads = 1});
+  ASSERT_TRUE(totals.has_value());
+  EXPECT_EQ(r.label, want.label);
+  EXPECT_EQ(r.forest_edges, want.forest);
+  EXPECT_EQ(r.iterations, want.iterations);
+  EXPECT_EQ(totals->attempts, want.attempts);
+  EXPECT_EQ(totals->wins, want.wins);
+}
+
+TEST(CcChunkedGraphs, OneThreadSweepMakesTheEdgeByEdgeAttempts) {
+  for (const std::string gcase : {"star", "gaps", "rmat"}) {
+    SCOPED_TRACE(gcase);
+    expect_edge_by_edge(chunked_graph(gcase));
+  }
+  for (const std::string gcase : {"path", "grid", "gnm", "planted5"}) {
+    SCOPED_TRACE(gcase);
+    expect_edge_by_edge(make_case(gcase).graph);
+  }
+}
+
+class CcChunkTest : public ::testing::TestWithParam<CcParam> {};
+
+TEST_P(CcChunkTest, MatchesUnionFind) {
+  const auto& [method, gcase, threads] = GetParam();
+  const Csr& g = chunked_graph(gcase);
+  const CcResult r = run_cc(method, g, {.threads = threads});
+  EXPECT_EQ(graph::canonicalize_labels(r.label), graph::connected_components(g));
+  EXPECT_EQ(r.components, graph::count_components(g));
+  if (method == "min-hook") {
+    EXPECT_TRUE(r.forest_edges.empty());  // combining writes carry no payload
+  } else {
+    expect_spanning_forest(g, r);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AcrossChunks, CcChunkTest,
+    ::testing::Combine(::testing::ValuesIn(cc_methods()),
+                       ::testing::Values("star", "gaps", "rmat"), ::testing::Values(1, 4)),
+    param_name);
 
 TEST(Cc, DispatchRejectsNaive) {
   // §7.2: no naive CC exists — racing multi-array hooks are unsafe.

@@ -65,6 +65,36 @@ TEST(Csr, DegreeStatistics) {
   EXPECT_DOUBLE_EQ(g.average_degree(), 6.0 / 4.0);
 }
 
+TEST(Csr, SourceOfFirstAndLastSlot) {
+  const Csr g = triangle();
+  EXPECT_EQ(g.source_of(0), 0u);
+  EXPECT_EQ(g.source_of(1), 0u);
+  EXPECT_EQ(g.source_of(2), 1u);
+  EXPECT_EQ(g.source_of(5), 2u);
+}
+
+TEST(Csr, SourceOfSkipsZeroDegreeRuns) {
+  // Vertices 0-1 and 3-5 own no slot; 2 owns slots 0-1, 6 owns slot 2,
+  // and the trailing run 7-8 sits at offset m.
+  const Csr g({0, 0, 0, 2, 2, 2, 2, 3, 3, 3}, {6, 6, 2});
+  EXPECT_EQ(g.source_of(0), 2u);  // after the leading run
+  EXPECT_EQ(g.source_of(1), 2u);
+  EXPECT_EQ(g.source_of(2), 6u);  // just after the run 3-5
+  for (edge_t j = 0; j < g.num_edges(); ++j) {
+    const vertex_t u = g.source_of(j);
+    EXPECT_LE(g.offset(u), j);
+    EXPECT_LT(j, g.offset(u) + g.degree(u));
+  }
+}
+
+TEST(Csr, SourceOfThrowsPastTheLastSlot) {
+  const Csr g = triangle();
+  EXPECT_THROW((void)g.source_of(6), std::out_of_range);
+  EXPECT_THROW((void)g.source_of(~edge_t{0}), std::out_of_range);
+  EXPECT_THROW((void)Csr().source_of(0), std::out_of_range);
+  EXPECT_THROW((void)Csr({0, 0, 0}, {}).source_of(0), std::out_of_range);
+}
+
 TEST(Csr, Equality) {
   EXPECT_EQ(triangle(), triangle());
   const Csr other({0, 1, 1, 1}, {1});
