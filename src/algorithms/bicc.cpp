@@ -58,7 +58,7 @@ BiccResult biconnected_components(std::uint64_t n, const EdgeList& edges,
   }
 
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  const Csr g = graph::build_csr(n, edges);
+  const Csr g = graph::build_csr(n, edges, {.threads = opts.threads});
 
   // --- 1. spanning tree from the CC hook forest ----------------------------
   const CcResult cc = cc_caslt(g, {.threads = opts.threads});
@@ -70,7 +70,7 @@ BiccResult biconnected_components(std::uint64_t n, const EdgeList& edges,
   for (const edge_t j : cc.forest_edges) {
     tree_edges.push_back({g.source_of(j), g.targets()[j]});
   }
-  const Csr tree = graph::build_csr(n, tree_edges);
+  const Csr tree = graph::build_csr(n, tree_edges, {.threads = opts.threads});
 
   // --- 2. root the tree (Euler tour, preorder, subtree segments) ----------
   const RootedTree rt = root_tree(tree, 0, {.threads = opts.threads});
@@ -141,7 +141,7 @@ BiccResult biconnected_components(std::uint64_t n, const EdgeList& edges,
     if (low(w) < pre[v] || high(w) >= pre[v] + nd[v]) aux.push_back({v, w});
   }
 
-  const Csr aux_csr = graph::build_csr(n, aux);
+  const Csr aux_csr = graph::build_csr(n, aux, {.threads = opts.threads});
   const CcResult aux_cc = cc_caslt(aux_csr, {.threads = opts.threads});
   const auto& comp = aux_cc.label;  // component per non-root vertex ≙ tree edge
 

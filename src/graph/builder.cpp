@@ -1,63 +1,163 @@
 #include "graph/builder.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 namespace crcw::graph {
+namespace {
+
+/// Vertices per dynamic grab in the per-list sort: list lengths differ by
+/// orders of magnitude on skewed graphs, so static ranges would starve
+/// threads behind a hub.
+constexpr std::int64_t kListChunk = 256;
+
+/// In-place inclusive scan of a[0, len) in at most `threads` contiguous
+/// ranges: each range sums itself, a serial scan over the range sums gives
+/// each range its base, and each range then scans itself from that base.
+void inclusive_scan(edge_t* a, std::uint64_t len, int threads) {
+  const std::uint64_t ranges =
+      std::max<std::uint64_t>(1, std::min<std::uint64_t>(threads, len));
+  const auto begin = [&](std::uint64_t r) {
+    return r * (len / ranges) + std::min(r, len % ranges);
+  };
+  std::vector<edge_t> base(ranges + 1, 0);
+  const auto nr = static_cast<std::int64_t>(ranges);
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (std::int64_t r = 0; r < nr; ++r) {
+    edge_t sum = 0;
+    for (auto i = begin(r); i < begin(r + 1); ++i) sum += a[i];
+    base[r + 1] = sum;
+  }
+  for (std::uint64_t r = 0; r < ranges; ++r) base[r + 1] += base[r];
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (std::int64_t r = 0; r < nr; ++r) {
+    edge_t run = base[r];
+    for (auto i = begin(r); i < begin(r + 1); ++i) a[i] = run += a[i];
+  }
+}
+
+/// The build, with per-(block, vertex) counts of type `Count`. A count or
+/// cursor never exceeds the number of slots, so `Count` only has to hold
+/// that.
+template <typename Count>
+Csr build(std::uint64_t n, const EdgeList& edges, const BuildOptions& opts) {
+  const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
+  const std::uint64_t m = edges.size();
+  const std::uint64_t slot_bound = m * (opts.symmetrize ? 2 : 1);
+
+  // Blocks are contiguous runs of the edge list, each with its own row of n
+  // counts. At most one per thread and one per edge, and blocks·n <= the
+  // slot bound, so the rows never outgrow the slots they count.
+  std::uint64_t blocks = std::min<std::uint64_t>(threads, m);
+  if (n > 0) blocks = std::min(blocks, slot_bound / n);
+  blocks = std::max<std::uint64_t>(blocks, 1);
+  const auto first_edge = [&](std::uint64_t b) {
+    return b * (m / blocks) + std::min(b, m % blocks);
+  };
+  const auto nb = static_cast<std::int64_t>(blocks);
+  const auto nv = static_cast<std::int64_t>(n);
+
+  // Validate and count: each block zeroes its row, then counts its slots
+  // per source, stopping at its first out-of-range edge. Blocks are handed
+  // out by index, so a nested call (a team of one) runs them all.
+  auto count = std::make_unique_for_overwrite<Count[]>(blocks * n);
+  std::vector<std::uint64_t> first_bad(blocks, m);
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (std::int64_t b = 0; b < nb; ++b) {
+    Count* const row = count.get() + static_cast<std::uint64_t>(b) * n;
+    std::fill(row, row + n, Count{0});
+    for (auto i = first_edge(b); i < first_edge(b + 1); ++i) {
+      const Edge e = edges[i];
+      if (e.u >= n || e.v >= n) {
+        first_bad[b] = i;
+        break;
+      }
+      if (e.u == e.v) {
+        if (!opts.remove_self_loops) ++row[e.u];
+        continue;
+      }
+      ++row[e.u];
+      if (opts.symmetrize) ++row[e.v];
+    }
+  }
+  // Blocks are in edge-list order, so the least index is the first bad edge.
+  const std::uint64_t bad = *std::min_element(first_bad.begin(), first_bad.end());
+  if (bad < m) {
+    throw std::invalid_argument("edge (" + std::to_string(edges[bad].u) + "," +
+                                std::to_string(edges[bad].v) + ") out of range for n=" +
+                                std::to_string(n));
+  }
+
+  // Scan: each count becomes its block's cursor into the vertex's list
+  // (the slots of earlier blocks come first), and the degrees become
+  // offsets.
+  std::vector<edge_t> offsets(n + 1, 0);
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (std::int64_t u = 0; u < nv; ++u) {
+    Count run = 0;
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      Count& c = count[b * n + static_cast<std::uint64_t>(u)];
+      const Count k = c;
+      c = run;
+      run += k;
+    }
+    offsets[u + 1] = run;
+  }
+  inclusive_scan(offsets.data() + 1, n, threads);
+
+  // Scatter straight from the edge list, both directions of an edge in one
+  // pass. A block writes its slots of a list in edge-list order behind the
+  // earlier blocks', so every list is in edge-list order.
+  std::vector<vertex_t> targets(offsets[n]);
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (std::int64_t b = 0; b < nb; ++b) {
+    Count* const cursor = count.get() + static_cast<std::uint64_t>(b) * n;
+    for (auto i = first_edge(b); i < first_edge(b + 1); ++i) {
+      const Edge e = edges[i];
+      if (e.u == e.v && opts.remove_self_loops) continue;
+      targets[offsets[e.u] + cursor[e.u]++] = e.v;
+      if (opts.symmetrize && e.u != e.v) targets[offsets[e.v] + cursor[e.v]++] = e.u;
+    }
+  }
+  count.reset();
+
+  if (!opts.sort_neighbors && !opts.dedup) return Csr(std::move(offsets), std::move(targets));
+
+  // Sort each list; when deduplicating, kept[u + 1] takes list u's length
+  // after unique, and a scan makes it the compacted offsets.
+  std::vector<edge_t> kept(opts.dedup ? n + 1 : 0, 0);
+#pragma omp parallel for num_threads(threads) schedule(dynamic, kListChunk)
+  for (std::int64_t u = 0; u < nv; ++u) {
+    vertex_t* const begin = targets.data() + offsets[u];
+    vertex_t* const end = targets.data() + offsets[u + 1];
+    std::sort(begin, end);
+    if (opts.dedup) kept[u + 1] = static_cast<edge_t>(std::unique(begin, end) - begin);
+  }
+  if (!opts.dedup) return Csr(std::move(offsets), std::move(targets));
+
+  inclusive_scan(kept.data() + 1, n, threads);
+  std::vector<vertex_t> unique_targets(kept[n]);
+#pragma omp parallel for num_threads(threads) schedule(dynamic, kListChunk)
+  for (std::int64_t u = 0; u < nv; ++u) {
+    std::copy_n(targets.data() + offsets[u], kept[u + 1] - kept[u],
+                unique_targets.data() + kept[u]);
+  }
+  return Csr(std::move(kept), std::move(unique_targets));
+}
+
+}  // namespace
 
 Csr build_csr(std::uint64_t n, const EdgeList& edges, const BuildOptions& opts) {
   if (n > kNoVertex) throw std::invalid_argument("vertex count exceeds vertex_t");
-
-  for (const auto& e : edges) {
-    if (e.u >= n || e.v >= n) {
-      throw std::invalid_argument("edge (" + std::to_string(e.u) + "," +
-                                  std::to_string(e.v) + ") out of range for n=" +
-                                  std::to_string(n));
-    }
-  }
-
-  // Materialise directed slots (possibly doubled), then counting-sort by
-  // source into the CSR arrays.
-  EdgeList slots;
-  slots.reserve(edges.size() * (opts.symmetrize ? 2 : 1));
-  for (const auto& e : edges) {
-    if (opts.remove_self_loops && e.u == e.v) continue;
-    slots.push_back(e);
-    if (opts.symmetrize && e.u != e.v) slots.push_back({e.v, e.u});
-  }
-
-  std::vector<edge_t> offsets(n + 1, 0);
-  for (const auto& e : slots) ++offsets[e.u + 1];
-  for (std::uint64_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-
-  std::vector<vertex_t> targets(slots.size());
-  std::vector<edge_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& e : slots) targets[cursor[e.u]++] = e.v;
-
-  if (opts.sort_neighbors || opts.dedup) {
-    for (std::uint64_t v = 0; v < n; ++v) {
-      const auto begin = targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-      const auto end = targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-      std::sort(begin, end);
-    }
-  }
-
-  if (opts.dedup) {
-    std::vector<edge_t> new_offsets(n + 1, 0);
-    std::vector<vertex_t> new_targets;
-    new_targets.reserve(targets.size());
-    for (std::uint64_t v = 0; v < n; ++v) {
-      const auto begin = targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-      const auto end = targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-      const auto out_begin = new_targets.size();
-      std::unique_copy(begin, end, std::back_inserter(new_targets));
-      new_offsets[v + 1] = new_offsets[v] + (new_targets.size() - out_begin);
-    }
-    return Csr(std::move(new_offsets), std::move(new_targets));
-  }
-
-  return Csr(std::move(offsets), std::move(targets));
+  const std::uint64_t slot_bound = edges.size() * (opts.symmetrize ? 2 : 1);
+  return slot_bound <= std::numeric_limits<std::uint32_t>::max()
+             ? build<std::uint32_t>(n, edges, opts)
+             : build<std::uint64_t>(n, edges, opts);
 }
 
 EdgeList to_edge_list(const Csr& g) {

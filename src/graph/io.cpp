@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -11,6 +12,17 @@ namespace crcw::graph {
 namespace {
 
 constexpr std::array<char, 8> kMagic = {'C', 'R', 'C', 'W', 'C', 'S', 'R', '1'};
+
+/// Elements a reader allocates ahead of the input it has read. Counts in a
+/// file are unchecked until the data behind them arrives, so an array grows
+/// with what was read, and a count that lies fails as truncated input
+/// rather than as an allocation.
+constexpr std::uint64_t kReadChunk = std::uint64_t{1} << 16;
+
+/// Refusal text for a count or id that vertex_t cannot hold.
+std::string too_big(const char* field, std::uint64_t value) {
+  return std::string(field) + " " + std::to_string(value) + " exceeds vertex_t";
+}
 
 template <typename T>
 void write_pod(std::ostream& os, const T& value) {
@@ -24,6 +36,44 @@ T read_pod(std::istream& is) {
   if (!is) throw std::runtime_error("binary CSR: truncated input");
   return value;
 }
+
+/// Reads `count` Ts in chunks of kReadChunk, growing the array only by what
+/// arrived.
+template <typename T>
+std::vector<T> read_array(std::istream& is, std::uint64_t count, const char* field) {
+  std::vector<T> out;
+  while (out.size() < count) {
+    const std::uint64_t step = std::min<std::uint64_t>(kReadChunk, count - out.size());
+    const std::size_t at = out.size();
+    out.resize(at + step);
+    is.read(reinterpret_cast<char*>(out.data() + at),
+            static_cast<std::streamsize>(step * sizeof(T)));
+    if (!is) throw std::runtime_error(std::string("binary CSR: truncated ") + field);
+  }
+  return out;
+}
+
+/// Whitespace-separated unsigned integers, with the line each one starts
+/// on, for refusals that name where they happened.
+class Tokens {
+ public:
+  explicit Tokens(std::istream& is) : is_(is) {}
+
+  bool next(std::uint64_t& out) {
+    for (int c = is_.peek(); c != std::char_traits<char>::eof() && std::isspace(c) != 0;
+         c = is_.peek()) {
+      if (c == '\n') ++line_;
+      is_.get();
+    }
+    return static_cast<bool>(is_ >> out);
+  }
+
+  [[nodiscard]] std::uint64_t line() const noexcept { return line_; }
+
+ private:
+  std::istream& is_;
+  std::uint64_t line_ = 1;
+};
 
 std::ofstream open_out(const std::string& path, std::ios::openmode mode) {
   std::ofstream f(path, mode);
@@ -55,6 +105,9 @@ LoadedEdgeList read_edge_list(std::istream& is) {
   std::string line;
   std::uint64_t line_no = 0;
   std::uint64_t declared_edges = 0;
+  const auto fail = [&](const std::string& what) {
+    return std::runtime_error("edge list line " + std::to_string(line_no) + ": " + what);
+  };
 
   while (std::getline(is, line)) {
     ++line_no;
@@ -65,22 +118,20 @@ LoadedEdgeList read_edge_list(std::istream& is) {
       std::string tag;
       ss >> hash >> tag;
       if (tag == "crcw-edgelist") {
-        if (!(ss >> out.num_vertices >> declared_edges)) {
-          throw std::runtime_error("edge list line " + std::to_string(line_no) +
-                                   ": malformed header");
+        if (!(ss >> out.num_vertices >> declared_edges)) throw fail("malformed header");
+        if (out.num_vertices > kNoVertex) {
+          throw fail(too_big("vertex count", out.num_vertices));
         }
         have_header = true;
-        out.edges.reserve(declared_edges);
+        out.edges.reserve(std::min(declared_edges, kReadChunk));
       }
       continue;
     }
     std::istringstream ss(line);
     std::uint64_t u = 0;
     std::uint64_t v = 0;
-    if (!(ss >> u >> v)) {
-      throw std::runtime_error("edge list line " + std::to_string(line_no) +
-                               ": expected 'u v'");
-    }
+    if (!(ss >> u >> v)) throw fail("expected 'u v'");
+    if (u >= kNoVertex || v >= kNoVertex) throw fail(too_big("vertex id", std::max(u, v)));
     out.edges.push_back({static_cast<vertex_t>(u), static_cast<vertex_t>(v)});
     out.num_vertices =
         std::max<std::uint64_t>({out.num_vertices, u + 1, v + 1});
@@ -123,15 +174,15 @@ Csr read_csr_binary(std::istream& is) {
   }
   const auto n = read_pod<std::uint64_t>(is);
   const auto m = read_pod<std::uint64_t>(is);
+  if (n > kNoVertex) throw std::runtime_error("binary CSR: " + too_big("vertex count", n));
 
-  std::vector<edge_t> offsets(n + 1);
-  is.read(reinterpret_cast<char*>(offsets.data()),
-          static_cast<std::streamsize>(offsets.size() * sizeof(edge_t)));
-  std::vector<vertex_t> targets(m);
-  is.read(reinterpret_cast<char*>(targets.data()),
-          static_cast<std::streamsize>(targets.size() * sizeof(vertex_t)));
-  if (!is) throw std::runtime_error("binary CSR: truncated arrays");
-  return Csr(std::move(offsets), std::move(targets));
+  auto offsets = read_array<edge_t>(is, n + 1, "offsets");
+  auto targets = read_array<vertex_t>(is, m, "targets");
+  try {
+    return Csr(std::move(offsets), std::move(targets));
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("binary CSR: ") + e.what());
+  }
 }
 
 Csr load_csr_binary(const std::string& path) {
@@ -157,52 +208,53 @@ void save_rodinia(const std::string& path, const Csr& g, vertex_t source) {
 }
 
 RodiniaGraph read_rodinia(std::istream& is) {
-  const auto fail = [](const char* what) -> std::runtime_error {
-    return std::runtime_error(std::string("rodinia graph: ") + what);
+  Tokens in(is);
+  const auto fail = [&](const std::string& what) {
+    return std::runtime_error("rodinia graph line " + std::to_string(in.line()) + ": " + what);
   };
 
   std::uint64_t n = 0;
-  if (!(is >> n)) throw fail("missing node count");
+  if (!in.next(n)) throw fail("missing node count");
+  if (n > kNoVertex) throw fail(too_big("node count", n));
 
-  std::vector<edge_t> offsets(n + 1, 0);
-  std::vector<edge_t> degrees(n, 0);
+  // Each (start, degree) record must start where the previous one ended.
+  std::vector<edge_t> offsets;
+  offsets.reserve(std::min(n + 1, kReadChunk));
+  edge_t end = 0;
   for (std::uint64_t v = 0; v < n; ++v) {
     std::uint64_t start = 0;
     std::uint64_t degree = 0;
-    if (!(is >> start >> degree)) throw fail("truncated node records");
-    offsets[v] = start;
-    degrees[v] = degree;
-  }
-  // Validate the (start, degree) pairs describe a proper CSR.
-  for (std::uint64_t v = 0; v < n; ++v) {
-    if (v > 0 && offsets[v] != offsets[v - 1] + degrees[v - 1]) {
-      throw fail("node records are not contiguous CSR offsets");
+    if (!in.next(start) || !in.next(degree)) throw fail("truncated node records");
+    if (start != end) {
+      throw fail(v == 0 ? "first offset must be 0"
+                        : "node records are not contiguous CSR offsets");
     }
+    if (degree > ~edge_t{0} - start) throw fail("node degree overflows the edge count");
+    offsets.push_back(start);
+    end = start + degree;
   }
-  if (n > 0 && offsets[0] != 0) throw fail("first offset must be 0");
 
   RodiniaGraph out;
   std::uint64_t source = 0;
-  if (!(is >> source)) throw fail("missing source");
+  if (!in.next(source)) throw fail("missing source");
   if (n > 0 && source >= n) throw fail("source out of range");
   out.source = static_cast<vertex_t>(source);
 
   std::uint64_t m = 0;
-  if (!(is >> m)) throw fail("missing edge count");
-  if (n > 0 && m != offsets[n - 1] + degrees[n - 1]) {
-    throw fail("edge count disagrees with node records");
-  }
-  offsets[n] = m;
+  if (!in.next(m)) throw fail("missing edge count");
+  if (m != end) throw fail("edge count disagrees with node records");
+  offsets.push_back(m);
 
-  std::vector<vertex_t> targets(m);
-  out.costs.resize(m);
+  std::vector<vertex_t> targets;
+  targets.reserve(std::min(m, kReadChunk));
+  out.costs.reserve(std::min(m, kReadChunk));
   for (std::uint64_t e = 0; e < m; ++e) {
     std::uint64_t dest = 0;
     std::uint64_t cost = 0;
-    if (!(is >> dest >> cost)) throw fail("truncated edge records");
+    if (!in.next(dest) || !in.next(cost)) throw fail("truncated edge records");
     if (dest >= n) throw fail("edge destination out of range");
-    targets[e] = static_cast<vertex_t>(dest);
-    out.costs[e] = static_cast<std::uint32_t>(cost);
+    targets.push_back(static_cast<vertex_t>(dest));
+    out.costs.push_back(static_cast<std::uint32_t>(cost));
   }
 
   out.graph = Csr(std::move(offsets), std::move(targets));

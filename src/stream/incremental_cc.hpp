@@ -225,7 +225,7 @@ class IncrementalCc {
       for (std::uint32_t i = 0; i < n_local; ++i) label[i] = uf.find(i);
     } else {
       const graph::Csr sub = graph::build_csr(
-          n_local, edges, {.symmetrize = true, .sort_neighbors = false});
+          n_local, edges, {.symmetrize = true, .sort_neighbors = false, .threads = threads});
       label = algo::cc_caslt(sub, {.threads = threads}).label;
     }
 

@@ -1,10 +1,14 @@
-// Edge-list → CSR builder options.
+// Edge-list → CSR builder options, and the parallel build against a serial
+// restatement of the algorithm it replaced.
 #include "graph/builder.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+
+#include "graph/generators.hpp"
 
 namespace crcw::graph {
 namespace {
@@ -76,6 +80,159 @@ TEST(Builder, PreservesMultigraphWhenNotDeduping) {
   const EdgeList edges = {{0, 1}, {0, 1}};
   const Csr g = build_csr(2, edges, {.symmetrize = false});
   EXPECT_EQ(g.degree(0), 2u);
+}
+
+// ---- the parallel build is the serial build, byte for byte -------------
+
+/// The serial builder the parallel one replaced: copy every directed slot
+/// out of the edge list, counting-sort the copies stably by source, then
+/// sort and unique each list.
+Csr serial_build(std::uint64_t n, const EdgeList& edges, const BuildOptions& opts) {
+  EdgeList slots;
+  for (const auto& e : edges) {
+    if (opts.remove_self_loops && e.u == e.v) continue;
+    slots.push_back(e);
+    if (opts.symmetrize && e.u != e.v) slots.push_back({e.v, e.u});
+  }
+  std::vector<edge_t> offsets(n + 1, 0);
+  for (const auto& e : slots) ++offsets[e.u + 1];
+  for (std::uint64_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<vertex_t> targets(slots.size());
+  std::vector<edge_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const auto& e : slots) targets[cursor[e.u]++] = e.v;
+  if (!opts.sort_neighbors && !opts.dedup) return Csr(std::move(offsets), std::move(targets));
+
+  std::vector<edge_t> out_offsets(n + 1, 0);
+  std::vector<vertex_t> out_targets;
+  for (std::uint64_t v = 0; v < n; ++v) {
+    std::vector<vertex_t> list(targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+                               targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+    std::sort(list.begin(), list.end());
+    if (opts.dedup) list.erase(std::unique(list.begin(), list.end()), list.end());
+    out_targets.insert(out_targets.end(), list.begin(), list.end());
+    out_offsets[v + 1] = out_targets.size();
+  }
+  return Csr(std::move(out_offsets), std::move(out_targets));
+}
+
+/// Equal arrays; on a mismatch, names the first differing index only (the
+/// graphs are too large to print).
+void expect_same(const Csr& got, const Csr& want) {
+  const auto first_diff = [](auto a, auto b) -> std::string {
+    if (a.size() != b.size()) {
+      return "size " + std::to_string(a.size()) + " != " + std::to_string(b.size());
+    }
+    const auto [x, y] = std::mismatch(a.begin(), a.end(), b.begin());
+    if (x == a.end()) return "";
+    return "index " + std::to_string(x - a.begin()) + ": " + std::to_string(*x) +
+           " != " + std::to_string(*y);
+  };
+  EXPECT_EQ(first_diff(got.offsets(), want.offsets()), "") << "offsets";
+  EXPECT_EQ(first_diff(got.targets(), want.targets()), "") << "targets";
+}
+
+struct BuildCase {
+  const char* name;
+  std::uint64_t n;
+  EdgeList edges;
+};
+
+const std::vector<BuildCase>& build_cases() {
+  static const std::vector<BuildCase> cases = [] {
+    constexpr std::uint64_t kRmatVertices = 1 << 16;
+    // R-MAT (duplicates and skewed lists) with 1,000 self-loops spread
+    // through the list, so every block holds some.
+    const EdgeList rmat_edges = rmat(kRmatVertices, 1 << 20, 11);
+    const std::uint64_t gap = rmat_edges.size() / 1000;
+    EdgeList with_loops;
+    for (std::uint64_t i = 0; i < rmat_edges.size(); ++i) {
+      with_loops.push_back(rmat_edges[i]);
+      if (i % gap == 0 && i / gap < 1000) {
+        const auto v = static_cast<vertex_t>((i * 2654435761u) % kRmatVertices);
+        with_loops.push_back({v, v});
+      }
+    }
+    // The hub's list takes a slot from every edge, so from every block. A
+    // star has fewer slots than 2n, so it builds in one block; three
+    // copies of it build in up to five.
+    const EdgeList star_edges = star(1 << 16);
+    EdgeList stars;
+    for (int copy = 0; copy < 3; ++copy) {
+      stars.insert(stars.end(), star_edges.begin(), star_edges.end());
+    }
+    return std::vector<BuildCase>{
+        {"rmat_with_self_loops", kRmatVertices, std::move(with_loops)},
+        {"star", 1 << 16, star_edges},
+        {"star_three_times", 1 << 16, std::move(stars)},
+        // Up to three blocks of two edges.
+        {"self_loops_and_duplicates", 4, {{0, 0}, {0, 1}, {1, 1}, {2, 1}, {0, 1}, {3, 3}}},
+        {"empty_list", 5, {}},
+        {"no_vertices", 0, {}},
+        // One edge per block from 3 threads up.
+        {"fewer_edges_than_threads", 2, {{1, 0}, {0, 1}, {1, 1}}},
+    };
+  }();
+  return cases;
+}
+
+BuildOptions options_from_mask(int mask) {
+  return {.symmetrize = (mask & 1) != 0,
+          .sort_neighbors = (mask & 2) != 0,
+          .dedup = (mask & 4) != 0,
+          .remove_self_loops = (mask & 8) != 0};
+}
+
+class BuilderMatchesSerial : public ::testing::TestWithParam<int> {};
+
+TEST_P(BuilderMatchesSerial, AtEveryThreadCount) {
+  BuildOptions opts = options_from_mask(GetParam());
+  for (const BuildCase& c : build_cases()) {
+    const Csr want = serial_build(c.n, c.edges, opts);
+    for (const int threads : {1, 2, 4, 7}) {
+      SCOPED_TRACE(std::string(c.name) + ", threads " + std::to_string(threads));
+      opts.threads = threads;
+      expect_same(build_csr(c.n, c.edges, opts), want);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOptions, BuilderMatchesSerial, ::testing::Range(0, 16),
+                         [](const ::testing::TestParamInfo<int>& pinfo) {
+                           const BuildOptions o = options_from_mask(pinfo.param);
+                           return std::string("sym") + (o.symmetrize ? "1" : "0") +
+                                  "_sort" + (o.sort_neighbors ? "1" : "0") + "_dedup" +
+                                  (o.dedup ? "1" : "0") + "_noloops" +
+                                  (o.remove_self_loops ? "1" : "0");
+                         });
+
+TEST(BuilderParallel, CallFromInsideParallelRegionMatches) {
+  const BuildCase& c = build_cases().front();
+  const Csr want = serial_build(c.n, c.edges, {});
+  for (const int threads : {0, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Csr got;
+#pragma omp parallel num_threads(4)
+#pragma omp single
+    got = build_csr(c.n, c.edges, {.threads = threads});
+    expect_same(got, want);
+  }
+}
+
+TEST(BuilderParallel, NamesFirstOutOfRangeEdgeInEdgeListOrder) {
+  // 1,000 edges over 100 vertices: the two bad edges fall in different
+  // blocks at every thread count above 1.
+  EdgeList edges = gnm(100, 1000, 3);
+  edges[300] = {7, 100};
+  edges[800] = {150, 2};
+  for (const int threads : {1, 2, 4, 7}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    try {
+      (void)build_csr(100, edges, {.threads = threads});
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "edge (7,100) out of range for n=100");
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -173,6 +174,131 @@ TEST(RodiniaIo, FileRoundTripAndBfsPipeline) {
   EXPECT_EQ(loaded.graph, g);
   EXPECT_EQ(loaded.source, 3u);
   std::filesystem::remove_all(dir);
+}
+
+// ---- hostile sizes: refused as std::runtime_error, never allocated ------
+
+/// Runs `read` and expects a std::runtime_error whose message contains
+/// `needle`. Any other exception (std::bad_alloc, std::length_error)
+/// escapes and fails the test.
+template <typename Read>
+void expect_refusal(Read read, const std::string& needle) {
+  try {
+    (void)read();
+    ADD_FAILURE() << "expected std::runtime_error containing '" << needle << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+/// A binary CSR header declaring n vertices and m slots, with no arrays.
+std::string binary_header(std::uint64_t n, std::uint64_t m) {
+  std::string s = "CRCWCSR1";
+  s.append(reinterpret_cast<const char*>(&n), sizeof n);
+  s.append(reinterpret_cast<const char*>(&m), sizeof m);
+  return s;
+}
+
+Csr read_binary(const std::string& bytes) {
+  std::stringstream ss(bytes, std::ios::in | std::ios::binary);
+  return read_csr_binary(ss);
+}
+
+TEST(CsrBinaryIo, RefusesVertexCountWhoseOffsetsWrap) {
+  // n + 1 wraps to 0: read as an empty graph before.
+  expect_refusal([] { return read_binary(binary_header(~std::uint64_t{0}, 0)); },
+                 "vertex count 18446744073709551615 exceeds vertex_t");
+}
+
+TEST(CsrBinaryIo, RefusesVertexCountBeyondVertexT) {
+  // std::bad_alloc before.
+  expect_refusal([] { return read_binary(binary_header(std::uint64_t{1} << 40, 0)); },
+                 "vertex count 1099511627776 exceeds vertex_t");
+}
+
+TEST(CsrBinaryIo, RefusesVertexCountBeyondAllocationSize) {
+  // std::length_error before.
+  expect_refusal([] { return read_binary(binary_header(std::uint64_t{1} << 62, 0)); },
+                 "vertex count 4611686018427387904 exceeds vertex_t");
+}
+
+TEST(CsrBinaryIo, CountsThatLieFailAsTruncatedInput) {
+  // Counts that fit but have no data behind them allocate nothing up front.
+  expect_refusal([] { return read_binary(binary_header(kNoVertex, 0)); },
+                 "binary CSR: truncated offsets");
+  std::string offsets_then_nothing = binary_header(2, std::uint64_t{1} << 60);
+  for (const edge_t off : {edge_t{0}, edge_t{1}, edge_t{1} << 60}) {
+    offsets_then_nothing.append(reinterpret_cast<const char*>(&off), sizeof off);
+  }
+  expect_refusal([&] { return read_binary(offsets_then_nothing); },
+                 "binary CSR: truncated targets");
+}
+
+TEST(CsrBinaryIo, InconsistentArraysAreARuntimeError) {
+  std::string bytes = binary_header(2, 1);
+  for (const edge_t off : {edge_t{0}, edge_t{2}, edge_t{1}}) {
+    bytes.append(reinterpret_cast<const char*>(&off), sizeof off);
+  }
+  const vertex_t target = 0;
+  bytes.append(reinterpret_cast<const char*>(&target), sizeof target);
+  expect_refusal([&] { return read_binary(bytes); }, "binary CSR: CSR: offsets not monotone");
+}
+
+TEST(EdgeListIo, RefusesVertexIdBeyondVertexT) {
+  // Loaded as edge (0, 1) with 4294967297 vertices before.
+  expect_refusal(
+      [] {
+        std::stringstream ss("0 1\n4294967296 1\n");
+        return read_edge_list(ss);
+      },
+      "edge list line 2: vertex id 4294967296 exceeds vertex_t");
+  expect_refusal(
+      [] {
+        std::stringstream ss("# crcw-edgelist 4294967296 1\n0 1\n");
+        return read_edge_list(ss);
+      },
+      "edge list line 1: vertex count 4294967296 exceeds vertex_t");
+}
+
+TEST(EdgeListIo, HeaderEdgeCountThatLiesFailsAsTruncatedInput) {
+  // std::bad_alloc from reserving the declared count before.
+  expect_refusal(
+      [] {
+        std::stringstream ss("# crcw-edgelist 4 1000000000000000\n0 1\n");
+        return read_edge_list(ss);
+      },
+      "header declared 1000000000000000 edges, found 1");
+}
+
+TEST(RodiniaIo, RefusesNodeCountBeyondVertexT) {
+  // std::bad_alloc before.
+  expect_refusal(
+      [] {
+        std::stringstream ss("1099511627776\n0 1\n");
+        return read_rodinia(ss);
+      },
+      "rodinia graph line 1: node count 1099511627776 exceeds vertex_t");
+}
+
+TEST(RodiniaIo, CountsThatLieFailAsTruncatedInput) {
+  expect_refusal(
+      [] {
+        std::stringstream ss("4294967295\n0 1\n");
+        return read_rodinia(ss);
+      },
+      "rodinia graph line 3: truncated node records");
+  expect_refusal(
+      [] {
+        std::stringstream ss("1\n0 1099511627776\n\n0\n\n1099511627776\n0 1\n");
+        return read_rodinia(ss);
+      },
+      "rodinia graph line 8: truncated edge records");
+  expect_refusal(
+      [] {
+        std::stringstream ss("2\n0 18446744073709551615\n18446744073709551615 2\n");
+        return read_rodinia(ss);
+      },
+      "rodinia graph line 3: node degree overflows the edge count");
 }
 
 }  // namespace
