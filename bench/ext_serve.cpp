@@ -32,6 +32,7 @@
 // the bench thread pumps. The mutex baseline spawns the same raw threads
 // so thread-spawn cost cancels out.
 #include <benchmark/benchmark.h>
+#include <omp.h>
 
 #include <atomic>
 #include <chrono>
@@ -302,12 +303,17 @@ void bench_serve(benchmark::State& state, const char* sweep, int threads,
                     threads, kOps, m, std::move(p99_admit), {}});
 }
 
+/// Shard count of the upsert, upsert-batch and mixed serve rows: the
+/// ambient OpenMP width. A shard's slice runs on one thread, so these rows
+/// time rounds that use every executor thread only with that many shards.
+[[nodiscard]] int executor_shards() { return omp_get_max_threads(); }
+
 // -- upsert: thread sweep at fixed batch ------------------------------------
 
 void upsert_threads_serve(benchmark::State& s) {
-  // m carries the batch size on flat serve rows (the baseline rows use 0).
-  bench_serve<crcw::serve::ServeSession>(s, "upsert", static_cast<int>(s.range(0)),
-                                         4096, /*mixed=*/false, /*shards=*/1, 4096);
+  // m carries the batch size on these serve rows (the baseline rows use 0).
+  bench_serve<crcw::serve::ServeSession>(s, "upsert", static_cast<int>(s.range(0)), 4096,
+                                         /*mixed=*/false, executor_shards(), 4096);
 }
 void upsert_threads_mutex(benchmark::State& s) {
   const int threads = static_cast<int>(s.range(0));
@@ -338,15 +344,15 @@ void upsert_threads_direct(benchmark::State& s) {
 
 void upsert_batch_serve(benchmark::State& s) {
   const auto batch = static_cast<std::uint64_t>(s.range(0));
-  bench_serve<crcw::serve::ServeSession>(s, "upsert-batch", default_threads(),
-                                         batch, /*mixed=*/false, /*shards=*/1, batch);
+  bench_serve<crcw::serve::ServeSession>(s, "upsert-batch", default_threads(), batch,
+                                         /*mixed=*/false, executor_shards(), batch);
 }
 
 // -- mixed 50/50 traffic (windowed, read-your-writes audited) ---------------
 
 void mixed_threads_serve(benchmark::State& s) {
-  bench_serve<crcw::serve::ServeSession>(s, "mixed", static_cast<int>(s.range(0)),
-                                         4096, /*mixed=*/true, /*shards=*/1, 4096);
+  bench_serve<crcw::serve::ServeSession>(s, "mixed", static_cast<int>(s.range(0)), 4096,
+                                         /*mixed=*/true, executor_shards(), 4096);
 }
 void mixed_threads_mutex(benchmark::State& s) {
   const int threads = static_cast<int>(s.range(0));

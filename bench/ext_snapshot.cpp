@@ -202,7 +202,7 @@ WriterRunStats writer_run(const std::vector<std::uint64_t>& keys, int threads,
   std::optional<std::thread> ckpt_thread;
   if (checkpoints) {
     ckpt_thread.emplace([&session, &done, &published] {
-      crcw::snap::Checkpointer<crcw::serve::BatchScheduler> ckpt(session.backend(),
+      crcw::snap::Checkpointer<crcw::serve::ShardedScheduler> ckpt(session.backend(),
                                                                  snap_dir());
       while (!done.load(std::memory_order_acquire)) {
         std::string err;

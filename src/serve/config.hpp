@@ -9,7 +9,7 @@
 //   ServeConfig{
 //     .batch  = admission + round execution (BatchConfig),
 //     .table  = the backing ConcurrentHashMap shards (TableConfig),
-//     .shards = key-shard routing (ShardConfig; count 1 = single table),
+//     .shards = key-shard routing (ShardConfig; count 1 = one table),
 //     .wire   = the TCP front end (WireConfig),
 //   }
 //
@@ -33,18 +33,20 @@ namespace crcw::serve {
 /// Admission-policy and round-execution knobs for one serving engine.
 struct BatchConfig {
   /// Size trigger: close a batch once this many ops are pending; also the
-  /// per-round cap (a bigger drain is sliced into several rounds; the
-  /// sharded backend applies the cap per shard).
+  /// per-shard round cap (a shard that drained more is sliced into
+  /// several rounds).
   std::uint64_t max_batch = 4096;
   /// Deadline trigger: close a non-empty batch once its oldest op has
   /// waited this long, so a trickle of traffic still commits promptly.
   std::uint64_t max_wait_us = 250;
-  /// OpenMP team size for round execution; 0 = omp_get_max_threads().
-  /// 1 = strictly serial (no OpenMP region) — required under the
-  /// raw-thread TSan stress tier.
+  /// Executor width; 0 = omp_get_max_threads(). A round's OpenMP team is
+  /// min(exec_threads, shards.count), one thread per shard; grow, reclaim
+  /// and the stream's rebuild use the full width. A team of 1 runs
+  /// strictly serial (no OpenMP region) — required under the raw-thread
+  /// TSan stress tier.
   int exec_threads = 0;
   /// Admission lanes; 0 = hardware_concurrency clamped to [1, 16]. The
-  /// sharded backend rounds this up to a multiple of the shard count so
+  /// round engine rounds this up to a multiple of the shard count so
   /// every shard owns the same number of lanes.
   int lanes = 0;
   /// Per-lane backpressure watermark; 0 = derived (max_batch, min 64).
@@ -56,8 +58,8 @@ struct BatchConfig {
   /// set 4–8 to keep the two clock reads per op off the hot path; the
   /// p99s are then estimates over the sampled subset.
   int latency_sample_shift = 0;
-  /// Attach the `serve` ContentionSite — and, on the sharded backend, one
-  /// `serve-shard-<i>` site per shard (profile passes only).
+  /// Attach the `serve` ContentionSite — and, on the key-value backend,
+  /// one `serve-shard-<i>` site per shard (profile passes only).
   bool counters = false;
 
   [[nodiscard]] int resolved_threads() const noexcept {
@@ -121,7 +123,8 @@ struct TableConfig {
 /// bits, so shard choice and in-shard placement stay decorrelated).
 struct ShardConfig {
   /// Shard count; validated() rounds up to a power of two. 1 = the
-  /// single-table BatchScheduler shape.
+  /// one-table shape, whose rounds run on one thread: parallel rounds
+  /// come from shards.
   int count = 1;
 };
 

@@ -18,10 +18,6 @@
 #include "core/round_tag.hpp"
 #include "ds/hash_common.hpp"
 
-namespace crcw::stream {
-class StreamScheduler;
-}  // namespace crcw::stream
-
 namespace crcw::serve {
 
 /// Monotonic wall clock in nanoseconds — the timestamp base of the
@@ -122,8 +118,8 @@ struct Result {
   round_t round = 0;  ///< the round this op executed in
 };
 
-class BatchScheduler;
-class ShardedScheduler;
+template <typename Backend>
+class RoundEngine;
 
 /// Completion slot for one in-flight op. The client owns the storage and
 /// must keep it pinned (neither moved nor destroyed) from submit until
@@ -151,10 +147,9 @@ class OpFuture {
   void reset() noexcept { done_.store(false, std::memory_order_relaxed); }
 
  private:
-  // Only round executors may publish (the engine side of the contract).
-  friend class BatchScheduler;
-  friend class ShardedScheduler;
-  friend class crcw::stream::StreamScheduler;
+  // Only the round engine may publish (the engine side of the contract).
+  template <typename Backend>
+  friend class RoundEngine;
 
   void publish(const Result& r) noexcept {
     result_ = r;

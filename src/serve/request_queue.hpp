@@ -103,19 +103,11 @@ class RequestQueue {
     while (!try_enqueue(op, future)) backoff.pause();
   }
 
-  /// Moves every pending record into `out` (appending, admission order per
-  /// lane) and returns how many were drained. Callers serialise through
-  /// the scheduler's pump lock; clients may enqueue concurrently.
-  std::uint64_t drain_into(std::vector<Record>& out) {
-    std::uint64_t drained = 0;
-    for (std::size_t l = 0; l < lanes_.size(); ++l) drained += drain_lane_into(l, out);
-    return drained;
-  }
-
-  /// Drains one lane (appending, admission order) — the sharded backend's
-  /// shape: lane l belongs to one shard, so draining it lane-by-lane keeps
-  /// the batch shard-local without a re-sort. Same serialisation contract
-  /// as drain_into.
+  /// Moves lane l's pending records into `out` (appending, admission
+  /// order) and returns how many were drained. Lane l belongs to one
+  /// shard, so the round engine drains lane by lane and keeps the batch
+  /// shard-local without a re-sort. Callers serialise through the engine's
+  /// pump lock; clients may enqueue concurrently.
   std::uint64_t drain_lane_into(std::size_t l, std::vector<Record>& out) {
     Lane& lane = lanes_[l % lanes_.size()];
     util::Backoff backoff;  // spinlock acquire: exponential, like try_enqueue

@@ -15,7 +15,7 @@
 //     telemetry (HashConfig::telemetry) counts the real CASes; a profile
 //     pass merges both through one ScopedRegistry.
 //
-// The sharded backend adds a routing surface: relaxed local/foreign op
+// The round engine also feeds a routing surface: relaxed local/foreign op
 // counters (did a drained op land in a lane of its key's own shard?) and
 // an ops-per-(shard, round) histogram, so shard-local batch placement is
 // measurable without per-op cost — one bulk update per drain, one record
@@ -60,7 +60,7 @@ class ServeMetrics {
     if (site_) site_->flush_round();
   }
 
-  // -- routing (sharded backends; bulk updates from under the pump lock) ----
+  // -- routing (bulk updates from under the pump lock) ----------------------
   void routed(std::uint64_t local, std::uint64_t foreign) noexcept {
     if (local != 0) route_local_.fetch_add(local, std::memory_order_relaxed);
     if (foreign != 0) route_foreign_.fetch_add(foreign, std::memory_order_relaxed);
@@ -72,7 +72,7 @@ class ServeMetrics {
     return route_foreign_.load(std::memory_order_relaxed);
   }
   /// Fraction of routed ops that drained shard-local (1.0 before any
-  /// routing — a single-table engine never routes).
+  /// drain; with one shard every drained op is local).
   [[nodiscard]] double routing_hit_rate() const noexcept {
     const std::uint64_t l = route_local();
     const std::uint64_t f = route_foreign();

@@ -12,9 +12,8 @@
 //     deadline cadence — the "service" deployment shape.
 //
 // The session routes every submit through backend.route(key), which is
-// where lane→shard affinity happens: on the sharded backend an op lands
-// in a lane owned by its key's shard, so the drained batch is shard-local
-// without any re-sort.
+// where lane→shard affinity happens: an op lands in a lane owned by its
+// key's shard, so the drained batch is shard-local without any re-sort.
 //
 // Ownership contract: OpFuture storage belongs to the client and must
 // stay pinned from submit until ready() (the engine holds a raw pointer
@@ -29,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/batch_scheduler.hpp"
 #include "serve/config.hpp"
 #include "serve/op.hpp"
 #include "serve/request_queue.hpp"
@@ -172,10 +170,10 @@ class BasicServeSession {
   std::atomic<bool> pump_stop_{false};
 };
 
-/// The single-table shape every pre-sharding call site used.
-using ServeSession = BasicServeSession<BatchScheduler>;
-/// The key-sharded shape (ShardConfig::count shards, lane→shard affinity).
-using ShardedServeSession = BasicServeSession<ShardedScheduler>;
+/// The key-value session: ShardConfig::count tables (1 by default, the
+/// one-table shape) with lane→shard affinity. Both names are the same type.
+using ServeSession = BasicServeSession<ShardedScheduler>;
+using ShardedServeSession = ServeSession;
 
 /// ClientSession — a per-client read-your-writes view over any session.
 //

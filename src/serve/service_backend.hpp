@@ -3,10 +3,10 @@
 //
 // The session owns the client-facing machinery (queue, futures, pump
 // thread, backpressure) and delegates everything round-shaped to a
-// backend: the single-table BatchScheduler and the key-sharded
-// ShardedScheduler implement the same five-method surface, so every
-// session feature (submit/wait/call/flush, background pump, destructor
-// drain) works identically over both. A backend is constructed from
+// backend: the key-value ShardedScheduler and the streaming
+// stream::StreamScheduler both run on RoundEngine (round_engine.hpp), so
+// every session feature (submit/wait/call/flush, background pump,
+// destructor drain) works identically over both. A backend is constructed from
 // (ServeConfig, RequestQueue&, ServeMetrics&) — the session wires them —
 // and additionally tells the session how wide the queue must be
 // (queue_lanes) and which lane an op belongs in (route), which is where
@@ -26,10 +26,10 @@ class RequestQueue;
 class ServeMetrics;
 
 /// One snapshot of a backend's service counters (relaxed reads; exact
-/// once clients quiesce). The routing pair is only non-zero on sharded
-/// backends: `shard_local_ops` counts ops drained from a lane of their
-/// key's own shard, `shard_foreign_ops` ops that had to cross shards at
-/// execution — the affinity quality the bench reports as a hit rate.
+/// once clients quiesce). The routing pair: `shard_local_ops` counts ops
+/// drained from a lane of their key's own shard, `shard_foreign_ops` ops
+/// that had to cross shards at execution — the affinity quality the bench
+/// reports as a hit rate. With one shard every drained op is local.
 struct BackendStats {
   round_t rounds = 0;
   std::uint64_t batches = 0;
@@ -45,7 +45,7 @@ struct BackendStats {
   std::uint64_t shard_foreign_ops = 0;
 
   /// Fraction of executed ops that landed shard-local; 1.0 when nothing
-  /// was routed yet (a single-table backend never routes).
+  /// was drained yet.
   [[nodiscard]] double routing_hit_rate() const noexcept {
     const std::uint64_t total = shard_local_ops + shard_foreign_ops;
     return total == 0 ? 1.0

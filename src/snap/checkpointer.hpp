@@ -1,10 +1,11 @@
 // Checkpointer — consistent scans, checkpoint files, and restore, duck-
 // typed over the serve backends so snap/ depends on ds/ and core/ only.
 //
-// Backend contract (BatchScheduler, ShardedScheduler, StreamScheduler):
+// Backend contract (ShardedScheduler, StreamScheduler; the cut calls and
+// reseed_round come from their shared serve::RoundEngine):
 //   static kSnapshotKind            kKindKv | kKindStream
 //   mint_cut() / release_cut()      park grow/reclaim while a scan runs
-//   snapshot_shards()               file segments (sharded: N, else 1)
+//   snapshot_shards()               file segments (KV: shards, stream: 1)
 //   scan_shard_at(s, round, fn)     cut-predicated fn(key, value, round)
 //   restore_entry(s, k, v, round)   serial rebuild of one committed entry
 //   reseed_round(r)                 arbiter continuity across restart
@@ -18,7 +19,7 @@
 // the scan then runs concurrently with later rounds — writers never block,
 // the per-bucket round predicate keeps the view at the cut, and the only
 // thing a held cut forbids is array-swapping maintenance (grow/reclaim),
-// which the schedulers' batch epilogs skip while cuts_held() > 0. The
+// which the round engine's batch epilog skips while cuts_held() > 0. The
 // stream backend trades that concurrency for forest consistency: its
 // capture runs entirely under the parked pump (edge set and union-find
 // parents must agree), which is fine because the writer-p99-interference

@@ -28,7 +28,8 @@ namespace {
 // Threads race erase against upsert on every key every round; the winner's
 // kind decides the key's liveness for the round. Every 16 rounds the
 // threads run a cooperative reclaim and the surviving commits must keep
-// arbitrating correctly afterwards.
+// arbitrating correctly afterwards; each round first reserves room for
+// its writes, since a reclaim may shrink the table below kKeys.
 TEST(StressChurn, MapMixedOpsOneWinnerAcrossReclaims) {
   const int threads = thread_count();
   const round_t rounds = scaled(120, 24);
@@ -39,8 +40,26 @@ TEST(StressChurn, MapMixedOpsOneWinnerAcrossReclaims) {
   std::vector<std::atomic<int>> erase_won(kKeys);
   std::barrier sync(threads);
 
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(sync, threads, [&](int tid) {
     for (round_t r = 1; r <= rounds; ++r) {
+      // Phase 0 (serial): reserve room for this round's writes, the way
+      // every writer after a reclaim does. A reclaim sizes the table for
+      // its live keys, so after one that left few keys live, a round of
+      // kKeys writes would otherwise find the table full (kFull) and some
+      // key would have no winner.
+      if (tid == 0) {
+        const std::uint64_t want = ds::bucket_count_for(
+            ds::required_buckets(map.occupied() + kKeys, 0.5));
+        if (want > map.bucket_count()) {
+          map.grow_prepare(want / map.bucket_count());
+        }
+      }
+      sync.arrive_and_wait();
+      if (map.growing()) map.grow_help();
+      sync.arrive_and_wait();
+      if (tid == 0 && map.growing()) map.grow_finish();
+      sync.arrive_and_wait();
+
       for (std::uint64_t k = 0; k < kKeys; ++k) {
         // Parity split over (tid, r, k): both op kinds contend on every
         // key every round, and each thread plays both roles.
@@ -108,7 +127,7 @@ TEST(StressChurn, SetBucketCountStaysBoundedUnderLockstepChurn) {
   std::uint64_t max_buckets = 0;  // tid 0 only, barrier-separated
   std::barrier sync(threads);
 
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(sync, threads, [&](int tid) {
     for (round_t r = 1; r <= rounds; ++r) {
       // Phase 0 (serial): size the table for this round's batch — the
       // backlog-grow decision, cooperatively swept. After a shrink the
@@ -181,7 +200,7 @@ TEST(StressChurn, ChainedEraseOneWinnerAndArenaRecycles) {
   std::atomic<std::uint64_t> erased{0};
 
   std::barrier sync(threads);
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(sync, threads, [&](int tid) {
     for (round_t r = 1; r <= rounds; ++r) {
       // Phase 1: every thread offers the same window → maximal Treiber
       // push + self-tombstone dedup contention.

@@ -55,6 +55,23 @@ void run_threads(int threads, Body&& body) {
   for (auto& th : pool) th.join();
 }
 
+/// run_threads for bodies that share the barrier `sync`. Each thread
+/// leaves the barrier with arrive_and_drop() when its body returns,
+/// finished or not: a failed ASSERT_* returns from the body, and without
+/// the drop every other thread would wait at its next arrive_and_wait()
+/// forever, so the test would hang instead of failing.
+template <typename Body>
+void run_barrier_threads(std::barrier<>& sync, int threads, Body&& body) {
+  struct Leave {
+    std::barrier<>& sync;
+    ~Leave() { sync.arrive_and_drop(); }
+  };
+  run_threads(threads, [&](int tid) {
+    const Leave leave{sync};
+    body(tid);
+  });
+}
+
 /// PRAM lock-step driver. Per round r in [1, rounds]:
 ///   1. every thread runs step(tid, r)         (the parallel CW step)
 ///   2. all threads meet at a barrier          (the synchronisation point)
@@ -64,7 +81,7 @@ void run_threads(int threads, Body&& body) {
 template <typename Step, typename Audit>
 void run_lockstep(int threads, round_t rounds, Step&& step, Audit&& audit) {
   std::barrier sync(threads);
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(sync, threads, [&](int tid) {
     for (round_t r = 1; r <= rounds; ++r) {
       step(tid, r);
       sync.arrive_and_wait();

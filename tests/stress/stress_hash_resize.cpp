@@ -40,7 +40,7 @@ TEST(StressHashResize, OpenSetGrowsUnderLockstepInserts) {
   std::atomic<std::uint64_t> inserted{0};
   std::barrier sync(threads);
 
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(sync, threads, [&](int tid) {
     for (int r = 0; r < rounds; ++r) {
       // Phase 1: disjoint key ranges, so every insert must win.
       const std::uint64_t base =
@@ -97,7 +97,7 @@ TEST(StressHashResize, MapUpsertOneWinnerPerKeyAcrossGrows) {
   std::vector<std::atomic<int>> winners(kKeys);
   std::barrier sync(threads);
 
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(sync, threads, [&](int tid) {
     for (round_t r = 1; r <= rounds; ++r) {
       for (std::uint64_t k = 0; k < kKeys; ++k) {
         if (map.upsert(r, k, r * 1000 + static_cast<std::uint64_t>(tid)) ==

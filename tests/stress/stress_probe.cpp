@@ -43,7 +43,7 @@ TEST(StressProbe, SetSharedWindowChurnGroupOnAndOff) {
     std::atomic<std::uint64_t> insert_wins{0};
     std::atomic<std::uint64_t> erase_wins{0};
 
-    run_threads(threads, [&](int tid) {
+    run_barrier_threads(sync, threads, [&](int tid) {
       for (int r = 0; r < rounds; ++r) {
         const std::uint64_t base = static_cast<std::uint64_t>(r) * window / 2;
         // Phase 1: racing inserts over one shared window + racing erases
@@ -110,7 +110,7 @@ TEST(StressProbe, MapOneWinnerPerKeyRoundAcrossSidecarRebuilds) {
     std::vector<std::atomic<int>> winners(kKeys);
     std::barrier sync(threads);
 
-    run_threads(threads, [&](int tid) {
+    run_barrier_threads(sync, threads, [&](int tid) {
       for (round_t r = 1; r <= rounds; ++r) {
         for (std::uint64_t k = 0; k < kKeys; ++k) {
           // Erase and upsert contend on the same (key, round) tag — the

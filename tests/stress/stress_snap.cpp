@@ -113,7 +113,7 @@ TEST(StressSnap, CheckpointsRaceChurnAndEveryFileRestores) {
 
   stress::run_threads(writers + 1, [&](int tid) {
     if (tid == 0) {
-      Checkpointer<serve::BatchScheduler> ckpt(session.backend(), dir);
+      Checkpointer<serve::ShardedScheduler> ckpt(session.backend(), dir);
       while (!done.load(std::memory_order_acquire)) {
         std::string err;
         const auto cut = ckpt.begin(&err);
@@ -173,9 +173,9 @@ TEST(StressSnap, CutStormNeverWedgesGrow) {
     if (tid == 0) {
       while (!done.load(std::memory_order_acquire)) {
         {
-          HeldCut<serve::BatchScheduler> held(session.backend());
+          HeldCut<serve::ShardedScheduler> held(session.backend());
           // Overlapping second cut: cuts_held flaps 2 → 1 → 0.
-          HeldCut<serve::BatchScheduler> again(session.backend());
+          HeldCut<serve::ShardedScheduler> again(session.backend());
         }
         std::this_thread::yield();  // a real grow window between storms
       }

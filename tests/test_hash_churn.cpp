@@ -52,6 +52,50 @@ TEST(ChurnSizing, SizingArithmeticSurvivesHugeDemands) {
   EXPECT_EQ(bucket_count_for(required_buckets(kTop, 1.0)), kTop);
 }
 
+TEST(ChurnSizing, ReclaimSizesForLiveKeysSoWritersReserveFirst) {
+  // The contract every writer after a reclaim relies on: the rebuild sizes
+  // the table for its LIVE keys, below the capacity it was built for, so a
+  // round that writes more keys than that must reserve room first (the
+  // serve backends do so before every round).
+  constexpr std::uint64_t kKeys = 48;
+  Map map(kKeys);
+  ASSERT_EQ(map.bucket_count(), 128u);
+  round_t r = 1;
+  for (std::uint64_t k = 0; k < kKeys; ++k) ASSERT_EQ(map.upsert(r, k, k), MapUpsert::kWon);
+  ++r;
+  for (std::uint64_t k = 16; k < kKeys; ++k) ASSERT_EQ(map.erase(r, k), MapUpsert::kWon);
+  ASSERT_EQ(map.size(), 16u);
+  map.reclaim_parallel(2);
+  EXPECT_EQ(map.bucket_count(), 32u);
+  EXPECT_EQ(map.tombstones(), 0u);
+
+  // Each key is offered twice per round: the second offer must never be a
+  // second winner, and a refused key stays refused for the round.
+  const auto write_round = [&](round_t round, std::uint64_t& won, std::uint64_t& full) {
+    won = 0;
+    full = 0;
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      const MapUpsert first = map.upsert(round, k, round * 100 + k);
+      won += first == MapUpsert::kWon ? 1 : 0;
+      full += first == MapUpsert::kFull ? 1 : 0;
+      const MapUpsert again = map.upsert(round, k, round * 100 + k + 1);
+      EXPECT_EQ(again, first == MapUpsert::kWon ? MapUpsert::kLost : MapUpsert::kFull)
+          << "round " << round << " key " << k;
+    }
+  };
+  std::uint64_t won = 0;
+  std::uint64_t full = 0;
+  write_round(++r, won, full);
+  EXPECT_EQ(won, 32u);
+  EXPECT_EQ(full, 16u);
+
+  EXPECT_TRUE(map.maybe_grow_for_backlog(kKeys, 2));
+  write_round(++r, won, full);
+  EXPECT_EQ(won, kKeys);
+  EXPECT_EQ(full, 0u);
+  EXPECT_EQ(map.size(), kKeys);
+}
+
 TEST(ChurnArbitration, EraseVsUpsertOneWinnerEveryRound) {
   // (a) of the churn contract: threads mixing erase and upsert on the
   // same key in the same round, exactly one winner per round, for many

@@ -246,7 +246,7 @@ TEST(Snapshot, CheckpointerPublishesInBackgroundAndIsReusable) {
   for (std::uint64_t k = 0; k < 32; ++k) {
     ASSERT_TRUE(session.call(Op::upsert(k + 1, k)).won);
   }
-  Checkpointer<serve::BatchScheduler> ckpt(session.backend(), dir);
+  Checkpointer<serve::ShardedScheduler> ckpt(session.backend(), dir);
   std::string err;
   const auto cut = ckpt.begin(&err);
   ASSERT_TRUE(cut.has_value()) << err;
@@ -283,7 +283,7 @@ TEST(Snapshot, WireCreateWithoutConfiguredDirRefusesButScanAnswers) {
   ServeSession session;  // no with_snapshot_dir
   ASSERT_TRUE(session.call(Op::upsert(3, 33)).won);
   session.start_pump();
-  serve::BasicWireServer<serve::BatchScheduler> server(session, serve::WireConfig{});
+  serve::BasicWireServer<serve::ShardedScheduler> server(session, serve::WireConfig{});
   server.start();
   serve::WireClient client("127.0.0.1", server.port());
   EXPECT_FALSE(client.snapshot_create().won) << "no dir → create disabled";
