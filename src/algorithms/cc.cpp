@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -21,6 +22,10 @@ using graph::edge_t;
 using graph::vertex_t;
 
 constexpr edge_t kNoEdge = static_cast<edge_t>(-1);
+
+/// Flag bits a conditional hook list returns to sweep_edges.
+constexpr std::uint8_t kHooked = 1;   ///< a hook committed
+constexpr std::uint8_t kCrossed = 2;  ///< a scanned slot joins two trees (pv != pu)
 
 /// Relaxed atomic views over the raced arrays (see bfs.cpp for rationale).
 inline vertex_t load_v(const vertex_t& cell) noexcept {
@@ -42,8 +47,9 @@ inline void store_b(std::uint8_t& cell, std::uint8_t value) noexcept {
 /// long list spreads over the team; each chunk finds its first source with
 /// Csr::source_of and then steps through the sources in order, skipping
 /// zero-degree vertices. `body(u, first, last)` gets the nonempty slot
-/// range [first, last) of u's list that lies in the chunk, and returns true
-/// when it changed shared state; the sweep returns whether any call did.
+/// range [first, last) of u's list that lies in the chunk, and returns flag
+/// bits, bit 0 (kHooked) meaning it changed shared state; the sweep returns
+/// their OR. That is a team reduction, so no thread stores to a shared flag.
 ///
 /// Handing the body a whole list lets it test a per-source guard once per
 /// list. A hook round's guard `star[u]` depends on the source alone, so a
@@ -64,7 +70,7 @@ std::uint8_t sweep_edges(const Csr& g, int threads, const Body& body) {
     for (vertex_t u = g.source_of(first); first < end; ++u) {
       const edge_t last = std::min(end, offsets[u + 1]);
       if (last == first) continue;  // zero-degree vertex: owns no slot
-      if (body(u, first, last)) any = 1;
+      any |= body(u, first, last);
       first = last;
     }
   }
@@ -76,15 +82,20 @@ std::uint8_t sweep_edges(const Csr& g, int threads, const Body& body) {
 ///   2. v with a grandparent ≠ parent marks itself, its parent and its
 ///      grandparent non-star (common CWs of `false`)
 ///   3. star[v] = star[P[v]] pulls the root's verdict down to depth-1
-///      children (the phase-3 read race is benign: both readable values
-///      are already correct — see tests/test_cc.cpp star-detection suite).
-void detect_stars(const std::vector<vertex_t>& parent, std::vector<std::uint8_t>& star,
+///      children. The phase-3 read race is benign: a root copies its own
+///      flag (P[root] == root), so a child reads the final value whether or
+///      not the root's copy ran first; a deeper vertex's parent was marked
+///      non-star in phase 2, and phase 3 never turns a 0 into a 1.
+/// Returns whether every tree is a star (no vertex has a grandparent ≠
+/// parent); then every flag is 1 and phase 3 has nothing to pull.
+bool detect_stars(const std::vector<vertex_t>& parent, std::vector<std::uint8_t>& star,
                   int threads) {
   const auto n = static_cast<std::int64_t>(parent.size());
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (std::int64_t v = 0; v < n; ++v) star[static_cast<std::size_t>(v)] = 1;
 
-#pragma omp parallel for num_threads(threads) schedule(static)
+  std::uint8_t deep = 0;
+#pragma omp parallel for num_threads(threads) schedule(static) reduction(| : deep)
   for (std::int64_t v = 0; v < n; ++v) {
     const vertex_t p = parent[static_cast<std::size_t>(v)];
     const vertex_t gp = parent[p];
@@ -92,14 +103,17 @@ void detect_stars(const std::vector<vertex_t>& parent, std::vector<std::uint8_t>
       store_b(star[static_cast<std::size_t>(v)], 0);
       store_b(star[p], 0);
       store_b(star[gp], 0);
+      deep = 1;
     }
   }
+  if (deep == 0) return true;
 
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (std::int64_t v = 0; v < n; ++v) {
     const vertex_t p = parent[static_cast<std::size_t>(v)];
     store_b(star[static_cast<std::size_t>(v)], load_b(star[p]));
   }
+  return false;
 }
 
 /// Roots of a converged forest (label[v] == v). Pointer jumping has
@@ -132,7 +146,7 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
   const std::span<const vertex_t> targets = g.targets();
   std::vector<vertex_t>& parent = result.label;  // P[], doubles as the output
   std::vector<vertex_t> snapshot(n);             // pre-substep P (PRAM read set)
-  std::vector<std::uint8_t> star(n);
+  std::vector<std::uint8_t> star(n, 1);          // the identity forest is all stars
   std::vector<edge_t> hook_edge(n, kNoEdge);  // 2nd member of the multi-array hook
   ArbiterConfig cfg;
   cfg.tracking = opts.sparse_reset ? TouchTracking::kEnabled : TouchTracking::kDisabled;
@@ -173,35 +187,52 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
       throw std::runtime_error("cc_kernel: exceeded iteration bound (no convergence)");
     }
     std::uint8_t any_change = 0;
+    // Iteration 1 starts from the identity forest, whose star flags (all
+    // set) and snapshot (P[v] == v) are known without a sweep: the first
+    // star detection and snapshot are skipped, and the conditional hook
+    // reads pu = u and pv = targets[j] directly.
+    const bool identity = iterations == 1;
 
     // --- 1. star detection -------------------------------------------------
-    detect_stars(parent, star, threads);
+    const bool all_stars = identity || detect_stars(parent, star, threads);
 
     // --- 2. conditional star hooking (one arbitrary-CW round) --------------
-    take_snapshot();
+    if (!identity) take_snapshot();
     // The gatekeeper re-initialisation sweep, once per hooking substep —
     // the recurring Θ(N) cost CAS-LT does not pay (§6); sparse mode sweeps
     // only the tags last substep's winning hooks touched.
     reset_tags();
+    std::uint8_t conditional = 0;
     {
       auto scope = arbiter.next_round(ResetMode::kCaller);
-      any_change |= sweep_edges(g, threads, [&](vertex_t u, edge_t first, edge_t last) {
-        if (star[u] == 0) return false;
-        const vertex_t pu = snapshot[u];
-        bool hooked = false;
+      conditional = sweep_edges(g, threads, [&](vertex_t u, edge_t first, edge_t last) {
+        if (star[u] == 0) return std::uint8_t{0};
+        const vertex_t pu = identity ? u : snapshot[u];
+        std::uint8_t flags = 0;
         for (edge_t j = first; j < last; ++j) {
-          const vertex_t pv = snapshot[targets[j]];
+          const vertex_t pv = identity ? targets[j] : snapshot[targets[j]];
+          if (pv != pu) flags |= kCrossed;
           if (pv < pu && scope.acquire(pu)) {
             // The multi-array hook update of §7.2: new parent + hook edge
             // must come from ONE winning edge, or the pair is inconsistent.
             store_v(parent[pu], pv);
             hook_edge[pu] = j;
-            hooked = true;
+            flags |= kHooked;
           }
         }
-        return hooked;
+        return flags;
       });
     }
+    any_change = conditional & kHooked;
+
+    // A forest of stars that no slot crosses has converged: the sweep
+    // scanned every slot and hooked nothing, so steps 3–5 would find the
+    // same stars, make no unconditional attempt (pv > pu needs pv ≠ pu)
+    // and jump no pointer (every parent is a root). The test reads slots,
+    // not hooks, so it holds on any input; on a symmetric graph every
+    // crossing slot has a downward twin that hooks, and the final
+    // iteration always ends here.
+    if (all_stars && (conditional & kCrossed) == 0) break;
 
     // --- 3. star detection on the hooked forest ----------------------------
     detect_stars(parent, star, threads);
@@ -260,9 +291,33 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
   result.components = count_roots(result.label, threads);
   // A root is hooked at most once in its lifetime (a hooked root never
   // becomes a root again), so the per-root hook records are final and
-  // together form the spanning forest: one edge per merged tree.
-  for (std::uint64_t v = 0; v < n; ++v) {
-    if (hook_edge[v] != kNoEdge) result.forest_edges.push_back(hook_edge[v]);
+  // together form the spanning forest: one edge per merged tree. The team
+  // collects them in vertex order: each contiguous block of vertices counts
+  // its records, a scan places the blocks, and each block copies its own.
+  const std::uint64_t blocks = std::min<std::uint64_t>(threads, n);
+  const auto block = [&](std::int64_t b) {  // hook records of vertices [first, last)
+    const std::uint64_t first = static_cast<std::uint64_t>(b) * n / blocks;
+    const std::uint64_t last = static_cast<std::uint64_t>(b + 1) * n / blocks;
+    return std::span<const edge_t>(hook_edge).subspan(first, last - first);
+  };
+  const auto recorded = [](edge_t j) { return j != kNoEdge; };
+  std::vector<std::uint64_t> place(blocks + 1, 0);
+  const auto nb = static_cast<std::int64_t>(blocks);
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (std::int64_t b = 0; b < nb; ++b) {
+    const std::span<const edge_t> records = block(b);
+    place[static_cast<std::size_t>(b) + 1] =
+        static_cast<std::uint64_t>(std::count_if(records.begin(), records.end(), recorded));
+  }
+  std::partial_sum(place.begin(), place.end(), place.begin());
+  result.forest_edges.resize(place[blocks]);
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (std::int64_t b = 0; b < nb; ++b) {
+    const std::span<const edge_t> records = block(b);
+    std::copy_if(records.begin(), records.end(),
+                 result.forest_edges.begin() +
+                     static_cast<std::ptrdiff_t>(place[static_cast<std::size_t>(b)]),
+                 recorded);
   }
   return result;
 }

@@ -13,6 +13,26 @@
 //                                different tree (guarantees progress)
 //   5. pointer jumping           P[v] = P[P[v]]
 //
+// Two shortcuts skip work that can change nothing, and leave every label,
+// forest slot, iteration count and per-round acquire attempt unchanged:
+//   * iteration 1 starts from the identity forest, so its step 1 and the
+//     snapshot before step 2 are skipped (every vertex is a singleton star
+//     and P[v] == v);
+//   * when step 1 finds every tree a star and step 2 scans no slot whose
+//     endpoints lie in different trees, the forest has converged and the
+//     iteration ends after step 2 (steps 3–5 would make no attempt and
+//     move no pointer).
+//
+// Input: the A-S kernels (every entry point but cc_min_hook) need symmetric
+// adjacency (v in N(u) iff u in N(v)), as graph::build_csr produces by
+// default. A hook moves only the root of the tree whose list holds the
+// crossing slot, and a root takes one hook per round. With one-way lists,
+// a tree whose own lists never leave it merges only when a neighbour's
+// root hooks onto it, so a large tree takes in such trees one per
+// iteration, and the solve throws std::runtime_error on its O(log n)
+// iteration bound (an R-MAT graph of 2^16 vertices and 2^18 one-way edges
+// does).
+//
 // Hooking is an *arbitrary* concurrent write: many edges compete to set a
 // root's parent, and the winning edge must update multiple cells atomically
 // as a unit (the new parent AND the hook-edge record) — which is why the

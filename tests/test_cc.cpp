@@ -309,19 +309,31 @@ EdgeByEdge edge_by_edge_solve(const Csr& g) {
   return out;
 }
 
-/// Skipping a non-star source's list, and splitting lists across chunks,
+/// Skipping a non-star source's list, splitting lists across chunks, and
+/// the kernel's two shortcuts (no star detection or snapshot on the
+/// identity forest, no steps 3–5 once a star forest has no crossing slot)
 /// must leave every round's attempts those of an edge-by-edge sweep: at
-/// one thread the solve and its contention counts match the oracle.
+/// one thread each guarded method's solve and contention counts match the
+/// oracle. The oracle runs every substep of every iteration, so a shortcut
+/// that skipped a substep with a live attempt, under any policy, fails.
 void expect_edge_by_edge(const Csr& g) {
   const EdgeByEdge want = edge_by_edge_solve(g);
-  const CcResult r = cc_caslt(g, {.threads = 1});
-  const auto totals = profile_cc("caslt", g, {.threads = 1});
-  ASSERT_TRUE(totals.has_value());
-  EXPECT_EQ(r.label, want.label);
-  EXPECT_EQ(r.forest_edges, want.forest);
-  EXPECT_EQ(r.iterations, want.iterations);
-  EXPECT_EQ(totals->attempts, want.attempts);
-  EXPECT_EQ(totals->wins, want.wins);
+  for (const std::string method :
+       {"caslt", "gatekeeper", "gatekeeper-sparse", "gatekeeper-skip", "critical"}) {
+    SCOPED_TRACE(method);
+    const CcResult r = run_cc(method, g, {.threads = 1});
+    EXPECT_EQ(r.label, want.label);
+    EXPECT_EQ(r.forest_edges, want.forest);
+    EXPECT_EQ(r.iterations, want.iterations);
+    if (method == "critical") continue;  // no instrumentable arbiter
+    const auto totals = profile_cc(method, g, {.threads = 1});
+    ASSERT_TRUE(totals.has_value());
+    EXPECT_EQ(totals->attempts, want.attempts);
+    EXPECT_EQ(totals->wins, want.wins);
+    // Every test graph is symmetric, so the final iteration ends after its
+    // conditional round: two rounds per iteration but the last.
+    EXPECT_EQ(totals->rounds, 2 * want.iterations - 1);
+  }
 }
 
 TEST(CcChunkedGraphs, OneThreadSweepMakesTheEdgeByEdgeAttempts) {
@@ -329,9 +341,36 @@ TEST(CcChunkedGraphs, OneThreadSweepMakesTheEdgeByEdgeAttempts) {
     SCOPED_TRACE(gcase);
     expect_edge_by_edge(chunked_graph(gcase));
   }
-  for (const std::string gcase : {"path", "grid", "gnm", "planted5"}) {
+  for (const std::string gcase : {"path", "grid", "gnm", "planted5", "isolated", "twopair"}) {
     SCOPED_TRACE(gcase);
     expect_edge_by_edge(make_case(gcase).graph);
+  }
+  // No slot crosses the identity forest of an edgeless graph: the solve
+  // ends in iteration 1, after one hook round and no star detection.
+  const Csr isolated = make_case("isolated").graph;
+  EXPECT_EQ(cc_caslt(isolated, {.threads = 1}).iterations, 1u);
+  EXPECT_EQ(profile_cc("caslt", isolated, {.threads = 1})->rounds, 1u);
+}
+
+/// 2^20 vertices in disjoint pairs {2i, 2i+1}: iteration 1 hooks every
+/// odd vertex onto its even partner through its one slot, 2i + 1, so the
+/// forest is 1, 3, 5, … in vertex order. The team collects the hook
+/// records in vertex blocks; any width must keep that order.
+TEST(Cc, ForestEdgesComeInVertexOrderAtAnyWidth) {
+  constexpr vertex_t kPairs = vertex_t{1} << 19;
+  graph::EdgeList edges;
+  edges.reserve(kPairs);
+  for (vertex_t i = 0; i < kPairs; ++i) edges.push_back({2 * i, 2 * i + 1});
+  const Csr g = graph::build_csr(2 * kPairs, edges);
+  std::vector<edge_t> want(kPairs);
+  for (vertex_t i = 0; i < kPairs; ++i) want[i] = 2 * edge_t{i} + 1;
+  for (const std::string method : {"caslt", "gatekeeper"}) {
+    for (const int threads : {1, 2, 4, 7}) {
+      SCOPED_TRACE(method + " t" + std::to_string(threads));
+      const CcResult r = run_cc(method, g, {.threads = threads});
+      EXPECT_EQ(r.components, kPairs);
+      EXPECT_TRUE(r.forest_edges == want) << "forest out of vertex order";
+    }
   }
 }
 
