@@ -1,5 +1,5 @@
-// Extension benchmark: the ds/ hash tables against lock-based and serial
-// baselines, three sweeps:
+// Extension benchmark: the open-addressing ConcurrentHashSet against
+// lock-based and serial baselines, three sweeps:
 //
 //   insert   insert-heavy build (≈50% duplicate keys) — the bucket-claim
 //            arbitration race, across sizes and across threads;
@@ -7,13 +7,15 @@
 //            wait-free contains() vs lock-per-lookup;
 //   storm    resize-storm dedup: the table starts 64 keys wide and must
 //            cooperatively grow to ~n/2 — migration cost end to end
-//            (std::unordered rehashes under its own policy; same job).
+//            (std::unordered rehashes under its own policy; same job),
+//            plus a max_load axis (storm-maxload).
 //
 // Baseline policy per sweep is "mutex" (std::unordered_* behind one lock),
 // the honest lower bar a CW-arbitrated table must clear; "unordered" rows
 // are the serial no-lock floor for scale. Rows land in
 // BENCH_ext_hash.json; the caslt-vs-mutex insert gap is the committed
-// smoke-baseline claim bench_compare.py guards.
+// smoke-baseline claim bench_compare.py guards. There is no chained-set
+// row: a Treiber-list set lost or tied every sweep against CAS-LT.
 #include <benchmark/benchmark.h>
 #include <omp.h>
 
@@ -31,7 +33,6 @@
 #include "algorithms/dedup.hpp"
 #include "algorithms/dispatch.hpp"
 #include "bench_common.hpp"
-#include "ds/chained_hash_set.hpp"
 #include "ds/concurrent_hash_set.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -84,20 +85,6 @@ std::uint64_t insert_caslt(const std::vector<std::uint64_t>& keys, int threads,
   return set.size();
 }
 
-std::uint64_t insert_chained(const std::vector<std::uint64_t>& keys, int threads) {
-  crcw::ds::ChainedHashSet<> set(keys.size(), threads);
-  const auto n = static_cast<std::int64_t>(keys.size());
-#pragma omp parallel num_threads(threads)
-  {
-    const int lane = omp_get_thread_num();
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) {
-      (void)set.insert(lane, keys[static_cast<std::size_t>(i)]);
-    }
-  }
-  return set.size();
-}
-
 std::uint64_t insert_mutex(const std::vector<std::uint64_t>& keys, int threads) {
   std::unordered_set<std::uint64_t> set;
   set.reserve(keys.size());
@@ -144,10 +131,6 @@ void insert_size_caslt(benchmark::State& s) {
   bench_insert(s, "insert", "caslt", static_cast<std::uint64_t>(s.range(0)),
                default_threads(), [](const auto& k, int t) { return insert_caslt(k, t); });
 }
-void insert_size_chained(benchmark::State& s) {
-  bench_insert(s, "insert", "chained", static_cast<std::uint64_t>(s.range(0)),
-               default_threads(), [](const auto& k, int t) { return insert_chained(k, t); });
-}
 void insert_size_mutex(benchmark::State& s) {
   bench_insert(s, "insert", "mutex", static_cast<std::uint64_t>(s.range(0)),
                default_threads(), [](const auto& k, int t) { return insert_mutex(k, t); });
@@ -164,11 +147,6 @@ void insert_threads_caslt(benchmark::State& s) {
   bench_insert(s, "insert-threads", "caslt", kThreadSweepKeys,
                static_cast<int>(s.range(0)),
                [](const auto& k, int t) { return insert_caslt(k, t); });
-}
-void insert_threads_chained(benchmark::State& s) {
-  bench_insert(s, "insert-threads", "chained", kThreadSweepKeys,
-               static_cast<int>(s.range(0)),
-               [](const auto& k, int t) { return insert_chained(k, t); });
 }
 void insert_threads_mutex(benchmark::State& s) {
   bench_insert(s, "insert-threads", "mutex", kThreadSweepKeys,
@@ -227,13 +205,6 @@ void lookup_caslt(benchmark::State& s) {
   bench_lookup(s, "caslt", [](const auto& keys) {
     auto set = std::make_shared<crcw::ds::ConcurrentHashSet<>>(keys.size());
     for (const std::uint64_t k : keys) (void)set->insert(k);
-    return [set](std::uint64_t k) { return set->contains(k); };
-  });
-}
-void lookup_chained(benchmark::State& s) {
-  bench_lookup(s, "chained", [](const auto& keys) {
-    auto set = std::make_shared<crcw::ds::ChainedHashSet<>>(keys.size(), 1);
-    for (const std::uint64_t k : keys) (void)set->insert(0, k);
     return [set](std::uint64_t k) { return set->contains(k); };
   });
 }
@@ -341,75 +312,6 @@ void storm_maxload_caslt(benchmark::State& state) {
   rec.profile([&] { return crcw::algo::profile_dedup("caslt", keys, opts); });
 }
 
-// Backoff axis of the storm: the chained set's head-CAS retry loop with the
-// adaptive ceiling (HashConfig::adaptive_backoff) A/B'd against the fixed
-// default. The table is deliberately undersized (~64 keys per chain head)
-// so concurrent pushes really fight over hot heads, and the keys go in as
-// round-sized slices with flush_round between them — the cadence at which
-// AdaptiveBackoffCeiling re-samples the ContentionSite failure rate. The
-// `backoff_ceiling` counter shows where the ceiling landed after the storm.
-std::uint64_t insert_chained_backoff(const std::vector<std::uint64_t>& keys,
-                                     int threads, bool adaptive,
-                                     std::uint32_t* ceiling_out = nullptr) {
-  crcw::ds::HashConfig cfg;
-  cfg.telemetry = true;
-  cfg.site_name = "ext-hash-backoff";
-  cfg.adaptive_backoff = adaptive;
-  crcw::ds::ChainedHashSet<> set(keys.size() / 64 + 1, threads, cfg);
-  constexpr std::uint64_t kSlices = 8;
-  const std::uint64_t per = keys.size() / kSlices;
-  for (std::uint64_t slice = 0; slice < kSlices; ++slice) {
-    const auto begin = static_cast<std::int64_t>(slice * per);
-    const auto end = static_cast<std::int64_t>(
-        slice + 1 == kSlices ? keys.size() : (slice + 1) * per);
-#pragma omp parallel num_threads(threads)
-    {
-      const int lane = omp_get_thread_num();
-#pragma omp for schedule(static)
-      for (std::int64_t i = begin; i < end; ++i) {
-        (void)set.insert(lane, keys[static_cast<std::size_t>(i)]);
-      }
-    }
-    set.flush_round();
-  }
-  if (ceiling_out != nullptr) *ceiling_out = set.backoff_ceiling();
-  return set.size();
-}
-
-void bench_storm_backoff(benchmark::State& state, const char* method, bool adaptive) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto& keys = cached_keys(kThreadSweepKeys);
-  crcw::obs::MetricsRegistry local;  // keeps the A/B site out of global totals
-  const crcw::obs::ScopedRegistry scoped(local);
-  RowRecorder rec(state, {.series = std::string("ext_hash/storm-backoff/") + method,
-                          .policy = method,
-                          .baseline = adaptive ? "fixed" : "",
-                          .threads = threads,
-                          .n = kThreadSweepKeys,
-                          .m = 0});
-  std::uint64_t distinct = 0;
-  std::uint32_t ceiling = 1024;  // fixed rows pin the Backoff default
-  for (auto _ : state) {
-    crcw::util::Timer timer;
-    distinct = insert_chained_backoff(keys, threads, adaptive,
-                                      adaptive ? &ceiling : nullptr);
-    rec.record(timer.seconds());
-  }
-  state.counters["distinct"] = static_cast<double>(distinct);
-  state.counters["backoff_ceiling"] = static_cast<double>(ceiling);
-  rec.profile([&] {
-    crcw::obs::MetricsRegistry prof;
-    const crcw::obs::ScopedRegistry prof_scope(prof);
-    (void)insert_chained_backoff(keys, threads, adaptive);
-    return std::optional(prof.totals());
-  });
-}
-
-void storm_backoff_adaptive(benchmark::State& s) {
-  bench_storm_backoff(s, "adaptive", true);
-}
-void storm_backoff_fixed(benchmark::State& s) { bench_storm_backoff(s, "fixed", false); }
-
 void storm_sort(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   const auto& keys = cached_keys(n);
@@ -439,14 +341,11 @@ void thread_args(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(insert_size_caslt)->Apply(size_args);
-BENCHMARK(insert_size_chained)->Apply(size_args);
 BENCHMARK(insert_size_mutex)->Apply(size_args);
 BENCHMARK(insert_size_unordered)->Apply(size_args);
 BENCHMARK(insert_threads_caslt)->Apply(thread_args);
-BENCHMARK(insert_threads_chained)->Apply(thread_args);
 BENCHMARK(insert_threads_mutex)->Apply(thread_args);
 BENCHMARK(lookup_caslt)->Apply(size_args);
-BENCHMARK(lookup_chained)->Apply(size_args);
 BENCHMARK(lookup_mutex)->Apply(size_args);
 BENCHMARK(lookup_unordered)->Apply(size_args);
 void maxload_args(benchmark::internal::Benchmark* b) {
@@ -462,8 +361,6 @@ void maxload_args(benchmark::internal::Benchmark* b) {
 BENCHMARK(storm_caslt)->Apply(size_args);
 BENCHMARK(storm_mutex)->Apply(size_args);
 BENCHMARK(storm_maxload_caslt)->Apply(maxload_args);
-BENCHMARK(storm_backoff_adaptive)->Apply(thread_args);
-BENCHMARK(storm_backoff_fixed)->Apply(thread_args);
 BENCHMARK(storm_sort)->Apply(size_args);
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "ds/chained_hash_set.hpp"
 #include "ds/concurrent_hash_set.hpp"
 #include "ds/hash_common.hpp"
 
@@ -80,24 +79,6 @@ DedupResult dedup_caslt(std::span<const std::uint64_t> keys, const DedupOptions&
   }
   result.distinct = set.size();
   return result;
-}
-
-DedupResult dedup_chained(std::span<const std::uint64_t> keys, const DedupOptions& opts) {
-  const int threads = resolve_threads(opts.threads);
-  // Nodes spent are bounded by the insert count, so the arena never fills.
-  ds::ChainedHashSet<> set(keys.size(), threads, table_config(opts, "dedup-chained"));
-
-  const auto n = static_cast<std::int64_t>(keys.size());
-#pragma omp parallel num_threads(threads)
-  {
-    const int lane = omp_get_thread_num();
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) {
-      (void)set.insert(lane, keys[static_cast<std::size_t>(i)]);
-    }
-  }
-  set.flush_round();
-  return {set.size(), 0, 1};
 }
 
 DedupResult dedup_sort(std::span<const std::uint64_t> keys, const DedupOptions&) {

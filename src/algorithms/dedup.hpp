@@ -3,16 +3,13 @@
 //
 // Every thread offering key k races the same bucket claim; exactly one
 // wins and the rest observe the committed key wait-free (arbitrary-CW, see
-// TaggedBucket). The open-addressing variant additionally exercises the
-// cooperative resize: inserts proceed in barrier-separated rounds, and
-// between rounds the team grows the table whenever occupancy crossed the
-// load factor or a probe walk came back kFull (the overflow keys are
-// stashed and retried after the grow — the kFull path is reachable, not
-// theoretical).
+// ClaimWord). dedup_caslt also exercises the cooperative resize: inserts
+// proceed in barrier-separated rounds, and between rounds the team grows
+// the table whenever occupancy crossed the load factor or a probe walk
+// came back kFull (the overflow keys are stashed and retried after the
+// grow — the kFull path is reachable, not theoretical).
 //
 //   dedup_caslt    ConcurrentHashSet + cooperative grow rounds
-//   dedup_chained  ChainedHashSet (SlotAllocator node grants; no grow —
-//                  the arena is sized for the input up front)
 //   dedup_sort     serial sort+unique baseline
 #pragma once
 
@@ -46,8 +43,6 @@ struct DedupResult {
 /// Keys must avoid the all-ones sentinel (throws std::invalid_argument).
 [[nodiscard]] DedupResult dedup_caslt(std::span<const std::uint64_t> keys,
                                       const DedupOptions& opts = {});
-[[nodiscard]] DedupResult dedup_chained(std::span<const std::uint64_t> keys,
-                                        const DedupOptions& opts = {});
 [[nodiscard]] DedupResult dedup_sort(std::span<const std::uint64_t> keys,
                                      const DedupOptions& opts = {});
 

@@ -43,11 +43,11 @@ std::vector<std::string> cc_methods() {
           "min-hook"};
 }
 
-std::vector<std::string> dedup_methods() { return {"caslt", "chained", "sort"}; }
+std::vector<std::string> dedup_methods() { return {"caslt", "sort"}; }
 
 std::vector<std::string> semijoin_methods() { return {"caslt", "serial"}; }
 
-std::vector<std::string> triangle_methods() { return {"caslt", "chained", "serial"}; }
+std::vector<std::string> triangle_methods() { return {"caslt", "serial"}; }
 
 std::uint64_t run_max(std::string_view method, std::span<const std::uint32_t> list,
                       const MaxOptions& opts) {
@@ -88,7 +88,6 @@ CcResult run_cc(std::string_view method, const graph::Csr& g, const CcOptions& o
 DedupResult run_dedup(std::string_view method, std::span<const std::uint64_t> keys,
                       const DedupOptions& opts) {
   if (method == "caslt") return dedup_caslt(keys, opts);
-  if (method == "chained") return dedup_chained(keys, opts);
   if (method == "sort") return dedup_sort(keys, opts);
   unknown("dedup", method);
 }
@@ -105,7 +104,6 @@ std::vector<SemijoinMatch> run_semijoin(std::string_view method,
 std::uint64_t run_triangles(std::string_view method, const graph::Csr& g,
                             const TriangleOptions& opts) {
   if (method == "caslt") return triangle_count_caslt(g, opts);
-  if (method == "chained") return triangle_count_chained(g, opts);
   if (method == "serial") return triangle_count_serial(g, opts);
   unknown("triangles", method);
 }
@@ -184,10 +182,10 @@ std::optional<obs::ContentionTotals> profile_cc(std::string_view method,
 std::optional<obs::ContentionTotals> profile_dedup(std::string_view method,
                                                    std::span<const std::uint64_t> keys,
                                                    const DedupOptions& opts) {
-  if (method != "caslt" && method != "chained") return std::nullopt;
+  if (method != "caslt") return std::nullopt;
   DedupOptions instrumented = opts;
   instrumented.telemetry = true;
-  return profiled([&] { (void)run_dedup(method, keys, instrumented); });
+  return profiled([&] { (void)dedup_caslt(keys, instrumented); });
 }
 
 std::optional<obs::ContentionTotals> profile_semijoin(
@@ -202,10 +200,10 @@ std::optional<obs::ContentionTotals> profile_semijoin(
 std::optional<obs::ContentionTotals> profile_triangles(std::string_view method,
                                                        const graph::Csr& g,
                                                        const TriangleOptions& opts) {
-  if (method != "caslt" && method != "chained") return std::nullopt;
+  if (method != "caslt") return std::nullopt;
   TriangleOptions instrumented = opts;
   instrumented.telemetry = true;
-  return profiled([&] { (void)run_triangles(method, g, instrumented); });
+  return profiled([&] { (void)triangle_count_caslt(g, instrumented); });
 }
 
 }  // namespace crcw::algo

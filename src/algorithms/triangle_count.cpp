@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <unordered_set>
 
-#include "ds/chained_hash_set.hpp"
 #include "ds/concurrent_hash_set.hpp"
 #include "ds/hash_common.hpp"
 
@@ -14,15 +13,6 @@ namespace {
 
 using graph::vertex_t;
 
-/// Canonical undirected edge key: the smaller endpoint in the high half, so
-/// (u,v) and (v,u) collapse to one key and the all-ones sentinel is
-/// unreachable for valid vertex ids.
-[[nodiscard]] constexpr std::uint64_t pack_edge(vertex_t a, vertex_t b) noexcept {
-  const vertex_t lo = a < b ? a : b;
-  const vertex_t hi = a < b ? b : a;
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
 [[nodiscard]] ds::HashConfig table_config(const TriangleOptions& opts) {
   ds::HashConfig cfg;
   cfg.telemetry = opts.telemetry;
@@ -30,23 +20,20 @@ using graph::vertex_t;
   return cfg;
 }
 
-/// Build + count over any set with insert/contains. `insert` and `lookup`
-/// adapt the two table APIs (the chained set threads a lane through).
-template <typename Insert, typename Lookup>
-std::uint64_t count_triangles(const graph::Csr& g, int threads, Insert&& insert,
-                              Lookup&& lookup) {
+}  // namespace
+
+std::uint64_t triangle_count_caslt(const graph::Csr& g, const TriangleOptions& opts) {
+  const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
   const auto n = static_cast<std::int64_t>(g.num_vertices());
+  // num_edges() counts directed slots, an upper bound on undirected edges.
+  ds::ConcurrentHashSet<> edges(g.num_edges(), table_config(opts));
 
   // Build: each undirected edge inserted once, by its smaller endpoint.
-#pragma omp parallel num_threads(threads)
-  {
-    const int lane = omp_get_thread_num();
-#pragma omp for schedule(static)
-    for (std::int64_t v = 0; v < n; ++v) {
-      const auto u = static_cast<vertex_t>(v);
-      for (const vertex_t w : g.neighbors(u)) {
-        if (u < w) insert(lane, pack_edge(u, w));
-      }
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (std::int64_t v = 0; v < n; ++v) {
+    const auto u = static_cast<vertex_t>(v);
+    for (const vertex_t w : g.neighbors(u)) {
+      if (u < w) (void)edges.insert(ds::pack_edge(u, w));
     }
   }
   // The region's barrier publishes the edge set; counting below is
@@ -60,34 +47,12 @@ std::uint64_t count_triangles(const graph::Csr& g, int threads, Insert&& insert,
       for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
         const vertex_t a = nbrs[i];
         const vertex_t b = nbrs[j];
-        if (a != b && lookup(pack_edge(a, b))) ++total;
+        if (a != b && edges.contains(ds::pack_edge(a, b))) ++total;
       }
     }
   }
+  edges.flush_round();
   return total / 3;  // one witness per apex
-}
-
-}  // namespace
-
-std::uint64_t triangle_count_caslt(const graph::Csr& g, const TriangleOptions& opts) {
-  const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  // num_edges() counts directed slots, an upper bound on undirected edges.
-  ds::ConcurrentHashSet<> edges(g.num_edges(), table_config(opts));
-  const std::uint64_t count = count_triangles(
-      g, threads, [&](int, std::uint64_t key) { (void)edges.insert(key); },
-      [&](std::uint64_t key) { return edges.contains(key); });
-  edges.flush_round();
-  return count;
-}
-
-std::uint64_t triangle_count_chained(const graph::Csr& g, const TriangleOptions& opts) {
-  const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  ds::ChainedHashSet<> edges(g.num_edges(), threads, table_config(opts));
-  const std::uint64_t count = count_triangles(
-      g, threads, [&](int lane, std::uint64_t key) { (void)edges.insert(lane, key); },
-      [&](std::uint64_t key) { return edges.contains(key); });
-  edges.flush_round();
-  return count;
 }
 
 std::uint64_t triangle_count_serial(const graph::Csr& g, const TriangleOptions&) {
@@ -97,7 +62,7 @@ std::uint64_t triangle_count_serial(const graph::Csr& g, const TriangleOptions&)
   for (std::int64_t v = 0; v < n; ++v) {
     const auto u = static_cast<vertex_t>(v);
     for (const vertex_t w : g.neighbors(u)) {
-      if (u < w) edges.insert(pack_edge(u, w));
+      if (u < w) edges.insert(ds::pack_edge(u, w));
     }
   }
   std::uint64_t total = 0;
@@ -105,7 +70,7 @@ std::uint64_t triangle_count_serial(const graph::Csr& g, const TriangleOptions&)
     const auto nbrs = g.neighbors(static_cast<vertex_t>(v));
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-        if (nbrs[i] != nbrs[j] && edges.contains(pack_edge(nbrs[i], nbrs[j]))) ++total;
+        if (nbrs[i] != nbrs[j] && edges.contains(ds::pack_edge(nbrs[i], nbrs[j]))) ++total;
       }
     }
   }

@@ -1,6 +1,6 @@
 // Triangle counting via a concurrent edge-hash — the read-heavy table
-// workload: one parallel build phase (every undirected edge packed as
-// (min << 32 | max) and inserted once into a ds/ set), then a lookup-only
+// workload: one parallel build phase (every undirected edge packed by
+// ds::pack_edge and inserted once into a ds/ set), then a lookup-only
 // phase where each vertex tests its neighbor pairs for the closing edge.
 // Each triangle is witnessed once per apex, so the pair-count divides by 3.
 //
@@ -26,10 +26,6 @@ struct TriangleOptions {
 /// Triangle count using ConcurrentHashSet for the edge membership test.
 [[nodiscard]] std::uint64_t triangle_count_caslt(const graph::Csr& g,
                                                  const TriangleOptions& opts = {});
-
-/// Same, with the chained (SlotAllocator-backed) set.
-[[nodiscard]] std::uint64_t triangle_count_chained(const graph::Csr& g,
-                                                   const TriangleOptions& opts = {});
 
 /// Serial std::unordered_set baseline (same pair-enumeration algorithm).
 [[nodiscard]] std::uint64_t triangle_count_serial(const graph::Csr& g,

@@ -34,7 +34,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -67,73 +66,19 @@ class SlotAllocator {
   }
 
   /// Allocates one slot for `lane`. Concurrent across lanes; one shared
-  /// fetch_add per `chunk` grants, private arithmetic otherwise. Recycled
-  /// slots (stock_recycled) are preferred over fresh arena slots: a lane
-  /// first drains its private recycled stash, then claims another chunk of
-  /// the recycled pool, and only when the pool is dry — remembered per
-  /// generation, so a dry pool costs each lane exactly one wasted RMW —
-  /// falls through to the arena cursor. Note there is no retry loop here
-  /// to back off (util/backoff.hpp): the dry-pool probe is one-shot per
-  /// generation and every fetch_add succeeds unconditionally, so backoff
-  /// would only delay a grant that cannot fail. The backoff discipline
-  /// applies to loops that RE-CONTEND the same word — the chained set's
-  /// head CAS and the request queue's lane spinlocks.
+  /// fetch_add per `chunk` grants, private arithmetic otherwise. There is
+  /// no retry loop here to back off (util/backoff.hpp): every fetch_add
+  /// succeeds unconditionally, so backoff would only delay a grant that
+  /// cannot fail.
   [[nodiscard]] std::uint64_t grant(int lane) noexcept {
     Lane& l = lanes_[static_cast<std::size_t>(lane)];
     ++l.grants;
-    if (l.rnext != l.rend) {
-      ++l.rgrants;
-      return recycled_[l.rnext++];
-    }
-    if (l.rgen != gen_) {
-      const std::uint64_t begin = rcursor_.fetch_add(chunk_, std::memory_order_relaxed);
-      ++l.refills;
-      if (begin < recycled_.size()) {
-        l.rnext = begin;
-        l.rend = std::min<std::uint64_t>(begin + chunk_, recycled_.size());
-        ++l.rgrants;
-        return recycled_[l.rnext++];
-      }
-      l.rgen = gen_;  // pool dry this generation: stop probing it
-    }
     if (l.next == l.end) {
       l.next = cursor_.fetch_add(chunk_, std::memory_order_relaxed);
       l.end = l.next + chunk_;
       ++l.refills;
     }
     return l.next++;
-  }
-
-  // -- slot recycling (serial, between parallel regions) --------------------
-  // The chained hash set's reclaim sweeps feed tombstoned node indices
-  // back here so long-lived churn reuses the arena instead of leaking it.
-  // Recycling and compact() are mutually exclusive modes: compact assumes
-  // every grant came from the contiguous arena prefix, which recycled
-  // indices break. Reuse is ABA-safe because stocking only happens in
-  // serial code at step boundaries — no slot is ever recycled while a
-  // parallel phase could still hold a reference to it.
-
-  /// Serial: replaces the recycled pool with `indices` plus whatever of
-  /// the previous pool was never granted, and opens a new generation.
-  void stock_recycled(std::vector<std::uint64_t> indices) {
-    drain_into(indices);
-    recycled_ = std::move(indices);
-    ++gen_;
-  }
-
-  /// Serial: removes and returns every recycled index not yet granted
-  /// (per-lane stashes plus the unclaimed pool tail).
-  [[nodiscard]] std::vector<std::uint64_t> drain_recycled() {
-    std::vector<std::uint64_t> out;
-    drain_into(out);
-    return out;
-  }
-
-  /// Grants served from the recycled pool (lifetime; serial/post-barrier).
-  [[nodiscard]] std::uint64_t recycled_grants() const noexcept {
-    std::uint64_t t = 0;
-    for (const Lane& l : lanes_) t += l.rgrants;
-    return t;
   }
 
   /// Highest slot index handed out this round, holes included (= the
@@ -148,7 +93,6 @@ class SlotAllocator {
   /// Serial, at the step boundary; returns dense (= grants this round).
   template <typename T>
   std::uint64_t compact(T* data) {
-    assert(gen_ == 0 && "compact() and slot recycling are mutually exclusive modes");
     const std::uint64_t high = high_water();
 
     // The round's holes: each lane's unconsumed [next, end), ascending.
@@ -225,39 +169,13 @@ class SlotAllocator {
     std::uint64_t next = 0;
     std::uint64_t end = 0;
     std::uint64_t grants = 0;   // lifetime
-    std::uint64_t refills = 0;  // lifetime (arena + recycled-pool RMWs)
-    std::uint64_t rnext = 0;    // recycled stash [rnext, rend) into recycled_
-    std::uint64_t rend = 0;
-    std::uint64_t rgen = 0;     // generation last observed dry
-    std::uint64_t rgrants = 0;  // lifetime recycled grants
+    std::uint64_t refills = 0;  // lifetime
   };
   static_assert(sizeof(Lane) == util::kCacheLineSize);
 
-  /// Serial: appends every ungranted recycled index to `out` and empties
-  /// the pool. `out` may alias the future pool (stock_recycled folds the
-  /// remainder into the fresh stock).
-  void drain_into(std::vector<std::uint64_t>& out) {
-    for (Lane& l : lanes_) {
-      for (; l.rnext < l.rend; ++l.rnext) out.push_back(recycled_[l.rnext]);
-      l.rnext = l.rend = 0;
-    }
-    const std::uint64_t claimed = std::min<std::uint64_t>(
-        rcursor_.load(std::memory_order_relaxed), recycled_.size());
-    out.insert(out.end(), recycled_.begin() + static_cast<std::ptrdiff_t>(claimed),
-               recycled_.end());
-    recycled_.clear();
-    rcursor_.store(0, std::memory_order_relaxed);
-  }
-
   std::vector<Lane> lanes_;
   alignas(util::kCacheLineSize) std::atomic<std::uint64_t> cursor_{0};
-  alignas(util::kCacheLineSize) std::atomic<std::uint64_t> rcursor_{0};
   std::uint64_t chunk_;
-  /// Recycled-pool generation: bumped by stock_recycled so a dry pool
-  /// costs each lane one RMW per restock, not one per grant. Written in
-  /// serial code only; the team barrier publishes it to granting threads.
-  std::uint64_t gen_ = 0;
-  std::vector<std::uint64_t> recycled_;
 };
 
 }  // namespace crcw

@@ -11,10 +11,11 @@
 // contract of paper §5 applied to the insert race of a concurrent hash
 // table (see src/ds/).
 //
-// The bucket pairs that claim word with a LiveTag so that, once a key owns
-// the bucket, per-round value writes keep using paper-faithful CAS-LT (one
-// winner per key per round; the value itself is barrier-published like
-// ConWriteCell's payload). The LiveTag extends the RoundTag with one
+// The bucket pairs that claim word (ClaimWord, which is all the open set
+// keeps per slot) with a LiveTag so that, once a key owns the bucket,
+// per-round value writes keep using paper-faithful CAS-LT (one winner per
+// key per round; the value itself is barrier-published like ConWriteCell's
+// payload). The LiveTag extends the RoundTag with one
 // liveness bit packed into the same word, which is what makes *erase* a
 // first-class concurrent write: an erase and an upsert targeting the same
 // key in the same round race the same single compare-exchange, exactly one
@@ -146,27 +147,31 @@ class LiveTag {
 
 static_assert(sizeof(LiveTag) == sizeof(std::uint64_t));
 
-/// One concurrent-write-arbitrated hash bucket: an atomically claimable key
-/// plus a LiveTag guarding per-round writes (and erases) of whatever
-/// payload the embedding table stores beside it. Key must be an unsigned
-/// integer; the all-ones value is reserved as the empty sentinel.
+/// The bucket-ownership word on its own: an atomically claimable key. It
+/// is the open set's whole slot, and the claim half of every TaggedBucket.
+/// Key must be an unsigned integer; the all-ones value is reserved as the
+/// empty sentinel.
 template <typename Key>
   requires std::unsigned_integral<Key>
-class TaggedBucket {
+class ClaimWord {
  public:
   static constexpr Key kEmptyKey = std::numeric_limits<Key>::max();
 
-  TaggedBucket() noexcept = default;
-  TaggedBucket(const TaggedBucket&) = delete;
-  TaggedBucket& operator=(const TaggedBucket&) = delete;
+  ClaimWord() noexcept = default;
+  ClaimWord(const ClaimWord&) = delete;
+  ClaimWord& operator=(const ClaimWord&) = delete;
 
   /// One-shot arbitration for bucket ownership: at most one CAS, wait-free.
   /// kWon means this call transitioned empty → k; the caller owns any
   /// non-atomic payload initialisation that follows (publish it with the
-  /// step barrier, exactly like a ConWriteCell winner).
-  BucketClaim claim(Key k) noexcept {
+  /// step barrier, exactly like a ConWriteCell winner). `on_cas` runs just
+  /// before the compare-exchange is issued, won or lost, so a table can
+  /// count every claim CAS without a second load of the word.
+  template <typename OnCas>
+  BucketClaim claim(Key k, OnCas&& on_cas) noexcept {
     Key current = key_.load(std::memory_order_acquire);
     if (current == kEmptyKey) {
+      on_cas();
       if (key_.compare_exchange_strong(current, k, std::memory_order_acq_rel,
                                        std::memory_order_acquire)) {
         return BucketClaim::kWon;
@@ -177,6 +182,10 @@ class TaggedBucket {
     return current == k ? BucketClaim::kHeld : BucketClaim::kOther;
   }
 
+  BucketClaim claim(Key k) noexcept {
+    return claim(k, [] {});
+  }
+
   /// The owning key, or kEmptyKey. An acquire load, so a reader that sees
   /// key k also sees everything the claimer published before the claim —
   /// but payload written *after* a claim is barrier-published, not
@@ -185,6 +194,20 @@ class TaggedBucket {
 
   [[nodiscard]] bool empty() const noexcept { return key() == kEmptyKey; }
 
+  /// Non-concurrent re-initialisation.
+  void reset() noexcept { key_.store(kEmptyKey, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<Key> key_{kEmptyKey};
+};
+
+/// One concurrent-write-arbitrated hash bucket: a ClaimWord plus a LiveTag
+/// guarding per-round writes (and erases) of whatever payload the
+/// embedding table stores beside it.
+template <typename Key>
+  requires std::unsigned_integral<Key>
+class TaggedBucket : public ClaimWord<Key> {
+ public:
   /// The per-round value/erase arbitration tag (CAS-LT; see LiveTag).
   [[nodiscard]] LiveTag& tag() noexcept { return tag_; }
   [[nodiscard]] const LiveTag& tag() const noexcept { return tag_; }
@@ -192,20 +215,20 @@ class TaggedBucket {
   /// A claimed bucket whose latest committed write was an erase — the key
   /// word stays claimed (probe chains must keep walking through it), only
   /// the entry is gone.
-  [[nodiscard]] bool dead() const noexcept { return !empty() && !tag_.live(); }
+  [[nodiscard]] bool dead() const noexcept { return !this->empty() && !tag_.live(); }
 
   /// Non-concurrent re-initialisation (table reset between runs; the
   /// migration target of a resize is freshly constructed instead).
   void reset() noexcept {
-    key_.store(kEmptyKey, std::memory_order_relaxed);
+    ClaimWord<Key>::reset();
     tag_.reset();
   }
 
  private:
-  std::atomic<Key> key_{kEmptyKey};
   LiveTag tag_;
 };
 
+static_assert(sizeof(ClaimWord<std::uint64_t>) == sizeof(std::uint64_t));
 static_assert(sizeof(TaggedBucket<std::uint64_t>) == 2 * sizeof(std::uint64_t));
 
 }  // namespace crcw

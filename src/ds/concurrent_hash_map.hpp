@@ -23,36 +23,24 @@
 // can never be raced again. needs_reclaim() watches the tombstone-ratio
 // watermark (HashConfig::reclaim_ratio) for the step-boundary trigger.
 //
-// Probing shares the set's control-byte sidecar (hash_common.hpp): one
-// byte per bucket — kCtrlEmpty, kCtrlTombstone while the bucket's LiveTag
-// is dead, or the owning key's H2 fingerprint while it is live — scanned
-// 16 lanes per util::Group snapshot. The byte is published with a release
-// store only by the thread whose RMW made the liveness transition (the
-// claim winner, the revive winner, the erase's round winner), and it is
-// only ever a filter: every fingerprint hit re-runs the authoritative
-// claim/tag protocol, and empty/tombstone lanes stay candidates, so stale
-// bytes cost extra verifies, never wrong answers.
+// The probe walks, the control-byte sidecar (a bucket's byte reads
+// kCtrlTombstone while its LiveTag is dead) and the grow/reclaim migration
+// are OpenTable's (open_table.hpp). A map slot is a TaggedBucket plus the
+// value, and a migrated slot carries its value and packed (round, live)
+// word, so post-migration CAS-LT writes keep refusing committed rounds.
 #pragma once
 
-#include <omp.h>
-
 #include <atomic>
-#include <bit>
-#include <cassert>
 #include <concepts>
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/tagged_bucket.hpp"
 #include "ds/hash_common.hpp"
-#include "util/aligned_buffer.hpp"
+#include "ds/open_table.hpp"
 #include "util/sanitizer.hpp"
-#include "util/simd.hpp"
 
 namespace crcw::ds {
 
@@ -63,29 +51,24 @@ enum class MapUpsert {
   kFull,  ///< probe walk exhausted: grow, then retry
 };
 
+/// A map bucket: the key claim and its LiveTag, then the barrier-published
+/// value.
+template <typename Key, typename Value>
+struct MapSlot : TaggedBucket<Key> {
+  Value value{};
+};
+
 template <typename Key, typename Value>
   requires std::unsigned_integral<Key> && std::is_nothrow_default_constructible_v<Value>
-class ConcurrentHashMap {
+class ConcurrentHashMap
+    : public OpenTable<ConcurrentHashMap<Key, Value>, MapSlot<Key, Value>> {
+  using Base = OpenTable<ConcurrentHashMap<Key, Value>, MapSlot<Key, Value>>;
+  using Slot = MapSlot<Key, Value>;
+
  public:
-  static constexpr Key kEmptyKey = TaggedBucket<Key>::kEmptyKey;
-
   explicit ConcurrentHashMap(std::uint64_t capacity, HashConfig cfg = {})
-      : cfg_(std::move(cfg)),
-        telemetry_(cfg_),
-        buckets_(bucket_count_for(required_buckets(capacity, cfg_.max_load))),
-        ctrl_(buckets_.size()),  // value-initialised atomics = all kCtrlEmpty
-        mask_(buckets_.size() - 1) {}
+      : Base(capacity, std::move(cfg)) {}
 
-  [[nodiscard]] std::uint64_t bucket_count() const noexcept { return buckets_.size(); }
-
-  /// Live keys only: claimed buckets minus tombstones. Exact from serial
-  /// code or post-barrier.
-  [[nodiscard]] std::uint64_t size() const noexcept {
-    return occupied_.total() - dead_.total();
-  }
-  /// Claimed buckets, live or dead — what probe-chain length (and thus
-  /// needs_grow) actually depends on.
-  [[nodiscard]] std::uint64_t occupied() const noexcept { return occupied_.total(); }
   /// Current tombstones (erased keys still holding their buckets).
   [[nodiscard]] std::uint64_t tombstones() const noexcept { return dead_.total(); }
 
@@ -96,27 +79,22 @@ class ConcurrentHashMap {
   /// Returns kInserted for the winner, kFound otherwise; value is
   /// barrier-published.
   SetInsert insert_first(Key key, const Value& v) {
-    Bucket* bucket = nullptr;
-    std::uint64_t b = 0;
-    const SetInsert r = claim_bucket(key, bucket, b);
-    if (r == SetInsert::kInserted) {
-      // Fresh claims are born live (LiveTag's polarity): the build-phase
-      // fast path is one CAS plus the barrier-published store, no tag RMW.
-      const util::TsanIgnoreWritesScope published_by_barrier;
-      bucket->value = v;
-      return r;
+    const auto [r, b] = this->claim_slot(key);
+    if (r == SetInsert::kFull) return r;
+    Slot& slot = this->slot(b);
+    if (r == SetInsert::kFound) {
+      if (slot.tag().live()) return r;
+      this->telemetry().cas();
+      if (!slot.tag().mark_live()) return r;  // revive: first flipper wins
+      dead_.sub(1);
+      this->publish_live(b, key);
+      this->telemetry().win();
     }
-    if (r == SetInsert::kFound && !bucket->tagged.tag().live()) {
-      telemetry_.cas();
-      if (bucket->tagged.tag().mark_live()) {  // revive: first flipper wins
-        dead_.sub(1);
-        ctrl_[b].store(ctrl_h2(mix64(key)), std::memory_order_release);
-        const util::TsanIgnoreWritesScope published_by_barrier;
-        bucket->value = v;
-        return SetInsert::kInserted;
-      }
-    }
-    return r;
+    // Fresh claims are born live (LiveTag's polarity): the build-phase
+    // fast path is one CAS plus the barrier-published store, no tag RMW.
+    const util::TsanIgnoreWritesScope published_by_barrier;
+    slot.value = v;
+    return SetInsert::kInserted;
   }
 
   /// Round-arbitrated upsert: claims the bucket if empty, then races the
@@ -125,37 +103,27 @@ class ConcurrentHashMap {
   /// strictly increasing per the LiveTag contract (use one counter per
   /// map, advanced between barriers).
   MapUpsert upsert(round_t round, Key key, const Value& v) {
-    Bucket* bucket = nullptr;
-    std::uint64_t b = 0;
-    if (claim_bucket(key, bucket, b) == SetInsert::kFull) return MapUpsert::kFull;
-    bool was_live = false;
-    if (!acquire_round(*bucket, round, /*live=*/true, was_live)) return MapUpsert::kLost;
-    if (!was_live) {  // tombstone revive: the round winner republishes the fp
-      dead_.sub(1);
-      ctrl_[b].store(ctrl_h2(mix64(key)), std::memory_order_release);
+    Slot* slot = nullptr;
+    const MapUpsert r = write(round, key, /*live=*/true, slot);
+    if (r == MapUpsert::kWon) {
+      const util::TsanIgnoreWritesScope published_by_barrier;
+      slot->value = v;
     }
-    const util::TsanIgnoreWritesScope published_by_barrier;
-    bucket->value = v;
-    return MapUpsert::kWon;
+    return r;
   }
 
   /// Winner-computes upsert: the factory runs only in the winning thread.
   template <typename Factory>
     requires std::is_invocable_r_v<Value, Factory>
   MapUpsert upsert_with(round_t round, Key key, Factory&& make) {
-    Bucket* bucket = nullptr;
-    std::uint64_t b = 0;
-    if (claim_bucket(key, bucket, b) == SetInsert::kFull) return MapUpsert::kFull;
-    bool was_live = false;
-    if (!acquire_round(*bucket, round, /*live=*/true, was_live)) return MapUpsert::kLost;
-    if (!was_live) {
-      dead_.sub(1);
-      ctrl_[b].store(ctrl_h2(mix64(key)), std::memory_order_release);
+    Slot* slot = nullptr;
+    const MapUpsert r = write(round, key, /*live=*/true, slot);
+    if (r == MapUpsert::kWon) {
+      Value made = std::forward<Factory>(make)();
+      const util::TsanIgnoreWritesScope published_by_barrier;
+      slot->value = std::move(made);
     }
-    Value made = std::forward<Factory>(make)();
-    const util::TsanIgnoreWritesScope published_by_barrier;
-    bucket->value = std::move(made);
-    return MapUpsert::kWon;
+    return r;
   }
 
   /// Round-arbitrated erase: the same CAS-LT race as upsert, committing a
@@ -164,29 +132,24 @@ class ConcurrentHashMap {
   /// whichever CAS landed, exactly the paper's arbitrary-CW pick. Erasing
   /// an absent key claims (and immediately tombstones) a bucket so the
   /// arbitration stays symmetric — a same-round upsert loser must observe
-  /// the erase's commit on the key's tag; the wasted bucket is recycled by
+  /// the erase's commit on the key's tag; the wasted bucket is dropped by
   /// the next reclaim sweep.
   MapUpsert erase(round_t round, Key key) {
-    Bucket* bucket = nullptr;
-    std::uint64_t b = 0;
-    if (claim_bucket(key, bucket, b) == SetInsert::kFull) return MapUpsert::kFull;
-    bool was_live = false;
-    if (!acquire_round(*bucket, round, /*live=*/false, was_live)) return MapUpsert::kLost;
-    if (was_live) {  // live → dead: the round winner publishes the tombstone byte
-      dead_.add(1);
-      ctrl_[b].store(kCtrlTombstone, std::memory_order_release);
-    }
-    telemetry_.tombstone();
-    return MapUpsert::kWon;
+    Slot* slot = nullptr;
+    const MapUpsert r = write(round, key, /*live=*/false, slot);
+    if (r == MapUpsert::kWon) this->telemetry().tombstone();
+    return r;
   }
 
   /// Pointer to the committed value for `key`, or nullptr (absent or
   /// erased). Read from serial code or after the barrier that closed the
   /// writing round.
   [[nodiscard]] const Value* find(Key key) const noexcept {
-    const Bucket* bucket = find_bucket(key);
-    if (bucket == nullptr || !bucket->tagged.tag().live()) return nullptr;
-    return &bucket->value;
+    return this->find_slot(key, static_cast<const Value*>(nullptr),
+                           [this](std::uint64_t b) -> const Value* {
+                             const Slot& slot = this->slot(b);
+                             return slot.tag().live() ? &slot.value : nullptr;
+                           });
   }
 
   [[nodiscard]] bool contains(Key key) const noexcept { return find(key) != nullptr; }
@@ -194,9 +157,10 @@ class ConcurrentHashMap {
   /// Serial/post-barrier iteration over committed live (key, value) pairs.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Bucket& bucket : buckets_) {
-      const Key k = bucket.tagged.key();
-      if (k != kEmptyKey && bucket.tagged.tag().live()) fn(k, bucket.value);
+    for (std::uint64_t i = 0; i < this->bucket_count(); ++i) {
+      const Slot& slot = this->slot(i);
+      const Key k = slot.key();
+      if (k != Base::kEmptyKey && slot.tag().live()) fn(k, slot.value);
     }
   }
 
@@ -231,14 +195,15 @@ class ConcurrentHashMap {
   /// schedulers' held-cut discipline does.
   template <typename Fn>
   void for_each_at(round_t cut_round, Fn&& fn) const {
-    for (const Bucket& bucket : buckets_) {
-      const Key k = bucket.tagged.key();
-      if (k == kEmptyKey) continue;
-      const std::uint64_t p1 = bucket.tagged.tag().packed();
+    for (std::uint64_t i = 0; i < this->bucket_count(); ++i) {
+      const Slot& slot = this->slot(i);
+      const Key k = slot.key();
+      if (k == Base::kEmptyKey) continue;
+      const std::uint64_t p1 = slot.tag().packed();
       if ((p1 & 1) == 0 || (p1 >> 1) > cut_round) continue;
-      const Value v = bucket.value;  // racy iff p2 below disagrees; then dropped
+      const Value v = slot.value;  // racy iff p2 below disagrees; then dropped
       std::atomic_thread_fence(std::memory_order_acquire);
-      const std::uint64_t p2 = bucket.tagged.tag().packed();
+      const std::uint64_t p2 = slot.tag().packed();
       if (p1 == p2) fn(k, v, static_cast<round_t>(p1 >> 1));
     }
   }
@@ -247,7 +212,7 @@ class ConcurrentHashMap {
   /// work. Same concurrency contract.
   [[nodiscard]] std::vector<ScanEntry> scan_at(round_t cut_round) const {
     std::vector<ScanEntry> out;
-    out.reserve(size());
+    out.reserve(this->size());
     for_each_at(cut_round, [&out](Key k, const Value& v, round_t r) {
       out.push_back(ScanEntry{k, v, r});
     });
@@ -261,449 +226,59 @@ class ConcurrentHashMap {
   /// against the original table. Returns false iff the probe walk
   /// exhausted (table sized too small for the snapshot).
   bool restore_slot(Key key, const Value& v, round_t round) {
-    Bucket* bucket = nullptr;
-    std::uint64_t b = 0;
-    const SetInsert r = claim_bucket(key, bucket, b);
+    const auto [r, b] = this->claim_slot(key);
     if (r == SetInsert::kFull) return false;
-    bucket->value = v;
-    bucket->tagged.tag().restore(LiveTag::pack(round, /*live=*/true));
-    ctrl_[b].store(ctrl_h2(mix64(key)), std::memory_order_release);
+    Slot& slot = this->slot(b);
+    slot.value = v;
+    slot.tag().restore(LiveTag::pack(round, /*live=*/true));
+    this->publish_live(b, key);
     return true;
   }
 
-  // -- cooperative migration: grow and tombstone reclaim --------------------
-  // One protocol, two directions. grow_prepare sizes the target up from
-  // the current array; reclaim_prepare sizes it from the live count so a
-  // churned table shrinks back. Either way the sweep (grow_help) skips
-  // dead buckets, so every migration is also a reclaim.
-
-  [[nodiscard]] bool needs_grow() const noexcept {
-    return static_cast<double>(occupied()) >
-           cfg_.max_load * static_cast<double>(buckets_.size());
-  }
-
-  /// Tombstone-ratio watermark (HashConfig::reclaim_ratio), checked at
-  /// step boundaries like needs_grow. The band between the two thresholds
-  /// is the hysteresis that keeps churny workloads from alternating
-  /// grow/shrink every step.
-  [[nodiscard]] bool needs_reclaim() const noexcept {
-    const std::uint64_t dead = tombstones();
-    return dead > 0 && static_cast<double>(dead) >=
-                           cfg_.reclaim_ratio * static_cast<double>(buckets_.size());
-  }
-
-  void grow_prepare(std::uint64_t factor = 2) {
-    if (factor < 2) factor = 2;
-    migration_prepare(bucket_count_for(buckets_.size() * factor));
-  }
-
-  /// Open a migration sized for the live keys: tombstones are dropped by
-  /// the sweep and the array shrinks back toward size()/max_load. The
-  /// target keeps max_load headroom, so the rebuilt table is never
-  /// immediately grow-worthy.
-  void reclaim_prepare() {
-    migration_prepare(bucket_count_for(required_buckets(size(), cfg_.max_load)));
-  }
-
-  [[nodiscard]] bool growing() const noexcept { return migration_ != nullptr; }
-
-  /// Chunk-swept cooperative migration; see concurrent_hash_set.hpp. Each
-  /// live bucket's key, value, and packed (round, live) tag move together,
-  /// so post-migration CAS-LT writes keep refusing already-committed
-  /// rounds. Dead buckets are dropped — their committed rounds are behind
-  /// every future round, so nothing can race them after the swap.
-  void grow_help() {
-    Migration& mig = *migration_;
-    const std::uint64_t end = buckets_.size();
-    for (;;) {
-      const std::uint64_t begin = mig.cursor.fetch_add(cfg_.migrate_chunk,
-                                                       std::memory_order_relaxed);
-      if (begin >= end) return;
-      telemetry_.chunk_claim();
-      const std::uint64_t stop = std::min(begin + cfg_.migrate_chunk, end);
-      std::uint64_t moved = 0;
-      std::uint64_t dropped = 0;
-      std::uint64_t probes = 0;
-      for (std::uint64_t i = begin; i < stop; ++i) {
-        Bucket& old = buckets_[i];
-        const Key k = old.tagged.key();
-        if (k == kEmptyKey) continue;
-        if (!old.tagged.tag().live()) {
-          ++dropped;
-          continue;
-        }
-        migrate_into(mig, k, old, probes);
-        ++moved;
-      }
-      if (moved > 0) mig.live_moved.fetch_add(moved, std::memory_order_relaxed);
-      if (dropped > 0) mig.dropped.fetch_add(dropped, std::memory_order_relaxed);
-      if (probes > 0) telemetry_.probes(probes);  // one flush per chunk
-      telemetry_.migrated(stop - begin);
-    }
-  }
-
-  void grow_finish() {
-    assert(growing() && "grow_finish without grow_prepare");
-    assert(migration_->cursor.load(std::memory_order_relaxed) >= buckets_.size() &&
-           "grow_finish before the migration sweep completed");
-    buckets_ = std::move(migration_->buckets);
-    ctrl_ = std::move(migration_->ctrl);
-    mask_ = migration_->mask;
-    // The rebuilt array holds exactly the migrated live keys: reset the
-    // sharded counters to that truth (serial here, like the swap itself).
-    occupied_.reset();
-    occupied_.add(migration_->live_moved.load(std::memory_order_relaxed));
-    dead_.reset();
-    telemetry_.reclaimed(migration_->dropped.load(std::memory_order_relaxed));
-    migration_.reset();
-  }
-
-  void grow_parallel(int threads = 0, std::uint64_t factor = 2) {
-    grow_prepare(factor);
-#pragma omp parallel num_threads(threads > 0 ? threads : omp_get_max_threads())
-    grow_help();
-    grow_finish();
-  }
-
-  bool maybe_grow_parallel(int threads = 0, std::uint64_t factor = 2) {
-    if (!needs_grow()) return false;
-    grow_parallel(threads, factor);
-    return true;
-  }
-
-  /// Cooperative rebuild toward the live count: drops every tombstone and
-  /// shrinks the array if churn left it oversized.
-  void reclaim_parallel(int threads = 0) {
-    reclaim_prepare();
-#pragma omp parallel num_threads(threads > 0 ? threads : omp_get_max_threads())
-    grow_help();
-    grow_finish();
-  }
-
-  /// Watermark-gated reclaim for step boundaries. Returns true iff a
-  /// rebuild ran.
-  bool maybe_reclaim_parallel(int threads = 0) {
-    if (!needs_reclaim()) return false;
-    reclaim_parallel(threads);
-    return true;
-  }
-
-  /// Signal-driven variant of needs_reclaim: the static watermark still
-  /// fires on its own, but a caller holding probe-path telemetry (its own
-  /// or this table's — telemetry_signal()) can also trigger on observed
-  /// degradation: probe-length p99 at or past HashConfig::reclaim_probe_p99,
-  /// or H2 false positives past reclaim_fp_rate of the group loads. Both
-  /// signal triggers are gated on a tombstone floor of 1/64 of the buckets,
-  /// because the telemetry is cumulative: without the floor a bad-probe
-  /// past would re-fire every step after the sweep already dropped the
-  /// tombstones that caused it.
-  [[nodiscard]] bool needs_reclaim(const ReclaimSignal& sig) const noexcept {
-    if (needs_reclaim()) return true;
-    const std::uint64_t dead = tombstones();
-    if (dead < buckets_.size() / 64 + 1) return false;
-    if (cfg_.reclaim_probe_p99 != 0 && sig.probe_p99 >= cfg_.reclaim_probe_p99) return true;
-    return cfg_.reclaim_fp_rate > 0.0 && sig.group_loads > 0 &&
-           static_cast<double>(sig.fingerprint_fps) >
-               cfg_.reclaim_fp_rate * static_cast<double>(sig.group_loads);
-  }
-
-  /// Signal-gated reclaim for step boundaries; the serve pumps pass
-  /// telemetry_signal() so churned tables rebuild as soon as probes
-  /// degrade, not only at the tombstone-ratio watermark. Returns true iff
-  /// a rebuild ran.
-  bool maybe_reclaim_parallel(int threads, const ReclaimSignal& sig) {
-    if (!needs_reclaim(sig)) return false;
-    reclaim_parallel(threads);
-    return true;
-  }
-
-  /// This table's own probe-path observations, ready to feed back into
-  /// maybe_reclaim_parallel. All-zero when telemetry is off.
-  [[nodiscard]] ReclaimSignal telemetry_signal() const noexcept {
-    return telemetry_.signal();
-  }
-
-  /// Backlog-sized grow (ROADMAP "resize-storm tail"): one grow sized for
-  /// `backlog` further inserts on top of the current occupancy, instead of
-  /// a cascade of ×2 grows each re-migrating every key. Returns true iff a
-  /// grow ran. Serial/step-boundary only, like every grow entry point.
-  /// Sizes from occupied(), not size(): tombstones hold buckets (and
-  /// lengthen probes) until a reclaim drops them.
-  bool maybe_grow_for_backlog(std::uint64_t backlog, int threads = 0) {
-    const std::uint64_t occ = occupied();
-    const std::uint64_t demand =
-        backlog > std::numeric_limits<std::uint64_t>::max() - occ
-            ? std::numeric_limits<std::uint64_t>::max()
-            : occ + backlog;
-    const std::uint64_t want = bucket_count_for(required_buckets(demand, cfg_.max_load));
-    if (want <= buckets_.size()) return false;
-    // Both sides are powers of two, so the division is exact — the old
-    // `size * factor < want` doubling loop could wrap to 0 for huge
-    // backlogs and never terminate.
-    grow_parallel(threads, want / buckets_.size());
-    return true;
-  }
-
-  // -- telemetry ------------------------------------------------------------
-
-  [[nodiscard]] TableTelemetry& telemetry() noexcept { return telemetry_; }
-  void flush_round() noexcept { telemetry_.flush_round(); }
-
-  // -- test/debug introspection (serial or post-barrier only) ---------------
-
-  /// Raw control byte for bucket `i` — lets tests assert the sidecar
-  /// invariants (empty / tombstone / fingerprint) across upsert, erase,
-  /// revive and reclaim without poking at internals.
-  [[nodiscard]] std::uint8_t debug_ctrl(std::uint64_t i) const noexcept {
-    return ctrl_[i].load(std::memory_order_acquire);
-  }
-
-  /// Index of the bucket claimed by `key` (live or tombstoned), or ~0 if
-  /// unclaimed. Always a scalar walk, so it double-checks the group path.
-  [[nodiscard]] std::uint64_t debug_bucket_of(Key key) const noexcept {
-    std::uint64_t b = mix64(key) & mask_;
-    for (std::uint64_t probe = 0; probe <= mask_; ++probe) {
-      const Key current = buckets_[b].tagged.key();
-      if (current == key) return b;
-      if (current == kEmptyKey) return ~std::uint64_t{0};
-      b = (b + 1) & mask_;
-    }
-    return ~std::uint64_t{0};
-  }
 
  private:
-  struct Bucket {
-    TaggedBucket<Key> tagged;
-    Value value{};
-  };
+  friend Base;
 
-  struct Migration {
-    util::AlignedBuffer<Bucket> buckets;
-    util::AlignedBuffer<std::atomic<std::uint8_t>> ctrl;
-    std::uint64_t mask = 0;
-    alignas(util::kCacheLineSize) std::atomic<std::uint64_t> cursor{0};
-    std::atomic<std::uint64_t> live_moved{0};
-    std::atomic<std::uint64_t> dropped{0};
-  };
-
-  void migration_prepare(std::uint64_t target_buckets) {
-    assert(!growing() && "migration_prepare while a migration is already open");
-    auto mig = std::make_unique<Migration>();
-    mig->buckets = util::AlignedBuffer<Bucket>(target_buckets);
-    mig->ctrl = util::AlignedBuffer<std::atomic<std::uint8_t>>(target_buckets);
-    mig->mask = mig->buckets.size() - 1;
-    migration_ = std::move(mig);
+  [[nodiscard]] bool slot_live(std::uint64_t i) const noexcept {
+    return this->slot(i).tag().live();
+  }
+  void clear_tombstones() noexcept { dead_.reset(); }
+  /// Old buckets are quiescent during the sweep (barrier before
+  /// grow_help), so plain reads of value and tag are safe.
+  static void carry(const Slot& from, Slot& to) {
+    to.value = from.value;
+    to.tag().restore(from.tag().packed());
   }
 
-  /// CAS-LT on the bucket's LiveTag with the telemetry mirroring
-  /// InstrumentedTag<CasLtPolicy>: the pre-load skip issues no RMW, so
-  /// `atomics` counts only real compare-exchanges.
-  bool acquire_round(Bucket& bucket, round_t round, bool live, bool& was_live) {
-    LiveTag& tag = bucket.tagged.tag();
-    if (tag.last_round() >= round) return false;  // skip: no atomic issued
-    telemetry_.cas();
-    return tag.try_acquire(round, live, was_live);
-  }
-
-  [[nodiscard]] bool group_probing() const noexcept {
-    return cfg_.group_probe && buckets_.size() >= util::kGroupWidth;
-  }
-
-  /// Shared claim tail: the winner seeds the fingerprint byte (fresh
-  /// claims are born live) before anyone can observe the key as present
-  /// through the sidecar — though observing it through a stale empty byte
-  /// first is fine too, since empty lanes are always verified.
-  SetInsert resolve_claim(BucketClaim claim, std::uint64_t b, std::uint8_t fp,
-                          Bucket*& bucket, std::uint64_t& index) {
-    switch (claim) {
-      case BucketClaim::kWon:
-        ctrl_[b].store(fp, std::memory_order_release);
-        telemetry_.cas();
-        telemetry_.win();
-        occupied_.add(1);
-        bucket = &buckets_[b];
-        index = b;
-        return SetInsert::kInserted;
-      case BucketClaim::kHeld:
-        bucket = &buckets_[b];
-        index = b;
-        return SetInsert::kFound;
-      case BucketClaim::kOther:
-        break;
+  /// The shared head of upsert and erase: claim the key's bucket, then
+  /// race its LiveTag with CAS-LT for `round`, committing `live`. The
+  /// round winner gets kWon and `slot`, and keeps the tombstone count and
+  /// the sidecar byte in step with the liveness transition its own CAS
+  /// observed — no second pass, no double counting. The pre-load skip of
+  /// a closed round issues no RMW, so `atomics` counts only real
+  /// compare-exchanges (mirroring InstrumentedTag<CasLtPolicy>). Forced
+  /// inline: shared by three ops it outgrows GCC's inline budget, and the
+  /// outlined call made a single-thread upsert or erase ~30% slower.
+  [[gnu::always_inline]] MapUpsert write(round_t round, Key key, bool live, Slot*& slot) {
+    const auto [r, b] = this->claim_slot(key);
+    if (r == SetInsert::kFull) return MapUpsert::kFull;
+    LiveTag& tag = this->slot(b).tag();
+    if (tag.last_round() >= round) return MapUpsert::kLost;  // skip: no atomic
+    this->telemetry().cas();
+    bool was_live = false;
+    if (!tag.try_acquire(round, live, was_live)) return MapUpsert::kLost;
+    if (live && !was_live) {  // tombstone revive: republish the fingerprint
+      dead_.sub(1);
+      this->publish_live(b, key);
+    } else if (!live && was_live) {  // live → dead: publish the tombstone byte
+      dead_.add(1);
+      this->publish_tombstone(b);
     }
-    return SetInsert::kFull;  // sentinel for "probe on" — never escapes
+    slot = &this->slot(b);
+    return MapUpsert::kWon;
   }
 
-  [[gnu::noinline]] SetInsert claim_scalar(Key key, Bucket*& bucket, std::uint64_t& index,
-                                           ProbeStats& stats) {
-    const std::uint64_t mixed = mix64(key);
-    const std::uint8_t fp = ctrl_h2(mixed);
-    std::uint64_t b = mixed & mask_;
-    for (std::uint64_t probe = 0; probe <= mask_; ++probe) {
-      ++stats.probes;
-      const BucketClaim claim = buckets_[b].tagged.claim(key);
-      if (claim != BucketClaim::kOther) return resolve_claim(claim, b, fp, bucket, index);
-      b = (b + 1) & mask_;
-    }
-    return SetInsert::kFull;
-  }
-
-  /// Group walk over the sidecar; candidate lanes (fingerprint match,
-  /// tombstone, empty) re-run the one-shot claim protocol verbatim, so the
-  /// arbitration outcome is bit-for-bit the scalar walk's. A lane whose
-  /// byte matched the fingerprint but whose claim says kOther is a
-  /// verified H2 false positive.
-  [[gnu::noinline]] SetInsert claim_group(Key key, Bucket*& bucket, std::uint64_t& index,
-                                          ProbeStats& stats) {
-    const std::uint64_t mixed = mix64(key);
-    const std::uint8_t fp = ctrl_h2(mixed);
-    GroupWalk walk(mixed & mask_, buckets_.size());
-    for (std::uint32_t lanes = walk.first(); !walk.done(); lanes = walk.next()) {
-      const util::Group grp = util::Group::load(&ctrl_[walk.base()]);
-      ++stats.group_loads;
-      const std::uint32_t h2m = grp.match(fp) & lanes;
-      std::uint32_t cand = (h2m | grp.match_special()) & lanes;
-      while (cand != 0) {
-        const auto lane = static_cast<unsigned>(std::countr_zero(cand));
-        cand &= cand - 1;
-        const std::uint64_t b = walk.base() + lane;
-        ++stats.probes;
-        const BucketClaim claim = buckets_[b].tagged.claim(key);
-        if (claim != BucketClaim::kOther) return resolve_claim(claim, b, fp, bucket, index);
-        if (((h2m >> lane) & 1u) != 0) ++stats.fps;
-      }
-    }
-    return SetInsert::kFull;
-  }
-
-  /// Probe walk + claim; on kInserted/kFound, `bucket` points at the key's
-  /// bucket (live or tombstoned — liveness is the caller's concern) and
-  /// `index` is its slot, so callers can publish sidecar bytes on the
-  /// liveness transitions they win. Throws for the reserved sentinel key.
-  /// A fresh claim is born live (its LiveTag starts that way), so only
-  /// occupied_ moves here; dead_ moves exactly when a LiveTag RMW flips
-  /// the bit, with the winner deriving the transition from its own CAS's
-  /// observed word — no second pass, no double counting.
-  SetInsert claim_bucket(Key key, Bucket*& bucket, std::uint64_t& index) {
-    if (key == kEmptyKey) {
-      throw std::invalid_argument("ConcurrentHashMap: the all-ones key is reserved");
-    }
-    assert(!growing() && "write during cooperative migration: missing barrier");
-    ProbeStats stats;
-    // Home-lane fast path, mirrored from the walks' probe 0. Home is lane
-    // zero of both walks and a claim must land on the earliest free lane,
-    // so running the one-shot claim protocol on it first changes no
-    // arbitration outcome — the common claim resolves in one step without
-    // a group snapshot, and only a stranger at home pays for the outlined
-    // walk (which re-checks home once, a benign extra probe).
-    const std::uint64_t mixed = mix64(key);
-    const std::uint64_t home = mixed & mask_;
-    ++stats.probes;
-    const BucketClaim claim = buckets_[home].tagged.claim(key);
-    const SetInsert r =
-        claim != BucketClaim::kOther
-            ? resolve_claim(claim, home, ctrl_h2(mixed), bucket, index)
-            : group_probing() ? claim_group(key, bucket, index, stats)
-                              : claim_scalar(key, bucket, index, stats);
-    telemetry_.walk(stats);
-    return r;
-  }
-
-  [[nodiscard]] const Bucket* find_bucket(Key key) const noexcept {
-    if (key == kEmptyKey) return nullptr;
-    // Home-bucket fast path against the authoritative word — exactly the
-    // scalar walk's first step, shared by both probe modes so the common
-    // case inlines small at every call site. A match is a hit; an empty
-    // home is a sound miss (a displaced key implies its home was claimed
-    // at insert time, and buckets never unclaim outside barrier-separated
-    // migrations, so key-elsewhere ⇒ home non-empty). Only a stranger at
-    // home pays for the outlined walk.
-    const std::uint64_t mixed = mix64(key);
-    const std::uint64_t home = mixed & mask_;
-    const Key at_home = buckets_[home].tagged.key();
-    if (at_home == key) return &buckets_[home];
-    if (at_home == kEmptyKey) return nullptr;
-    return find_bucket_slow(key, mixed, home);
-  }
-
-  /// Displaced-chain tail of find_bucket(), outlined (noinline) so the
-  /// inlined fast path stays a handful of instructions at every call site.
-  /// `home` has already been verified to hold a different key.
-  [[nodiscard, gnu::noinline]] const Bucket* find_bucket_slow(
-      Key key, std::uint64_t mixed, std::uint64_t home) const noexcept {
-    if (group_probing()) {
-      const std::uint8_t fp = ctrl_h2(mixed);
-      GroupWalk walk(home, buckets_.size());
-      for (std::uint32_t lanes = walk.first(); !walk.done(); lanes = walk.next()) {
-        const util::Group grp = util::Group::load(&ctrl_[walk.base()]);
-        // Read-only walk: fingerprint candidates first (a full byte means
-        // a permanently claimed bucket, so a key match is authoritative
-        // wherever it sits), then the sentinel lanes in order — only they
-        // can terminate the chain, and each one is verified against the
-        // bucket word so a stale empty hiding this key is still caught.
-        std::uint32_t fpm = grp.match(fp) & lanes;
-        while (fpm != 0) {
-          const std::uint64_t b = walk.base() + std::countr_zero(fpm);
-          fpm &= fpm - 1;
-          if (buckets_[b].tagged.key() == key) return &buckets_[b];
-        }
-        std::uint32_t spec = grp.match_special() & lanes;
-        while (spec != 0) {
-          const std::uint64_t b = walk.base() + std::countr_zero(spec);
-          spec &= spec - 1;
-          const Key current = buckets_[b].tagged.key();
-          if (current == key) return &buckets_[b];
-          if (current == kEmptyKey) return nullptr;
-        }
-      }
-      return nullptr;
-    }
-    std::uint64_t b = (home + 1) & mask_;
-    for (std::uint64_t probe = 1; probe <= mask_; ++probe) {
-      const Key current = buckets_[b].tagged.key();
-      if (current == key) return &buckets_[b];
-      if (current == kEmptyKey) return nullptr;
-      b = (b + 1) & mask_;
-    }
-    return nullptr;
-  }
-
-  /// Migration insert: the claim always wins eventually (keys unique in
-  /// the old array, and the target is sized for every live key); the value
-  /// and the packed (round, live) word travel together, and the target's
-  /// sidecar byte is seeded so the first post-swap walk finds it populated
-  /// (relaxed — grow_finish's barrier publishes the whole array). Old
-  /// buckets are quiescent during the sweep (barrier before grow_help), so
-  /// plain reads of value/tag are safe. Probe counts accumulate in
-  /// `probes` and flush once per chunk from grow_help.
-  void migrate_into(Migration& mig, Key key, const Bucket& old, std::uint64_t& probes) {
-    const std::uint64_t mixed = mix64(key);
-    std::uint64_t b = mixed & mig.mask;
-    for (;;) {
-      ++probes;
-      const BucketClaim claim = mig.buckets[b].tagged.claim(key);
-      if (claim == BucketClaim::kWon) {
-        telemetry_.cas();
-        mig.ctrl[b].store(ctrl_h2(mixed), std::memory_order_relaxed);
-        mig.buckets[b].value = old.value;
-        mig.buckets[b].tagged.tag().restore(old.tagged.tag().packed());
-        return;
-      }
-      assert(claim == BucketClaim::kOther && "duplicate key in migration sweep");
-      b = (b + 1) & mig.mask;
-    }
-  }
-
-  HashConfig cfg_;
-  TableTelemetry telemetry_;
-  util::AlignedBuffer<Bucket> buckets_;
-  // Control-byte sidecar, one byte per bucket (filter only — see the header
-  // comment). Declared after buckets_ to match the ctor init order.
-  util::AlignedBuffer<std::atomic<std::uint8_t>> ctrl_;
-  std::uint64_t mask_;
-  ShardedCounter occupied_;
   ShardedCounter dead_;
-  std::unique_ptr<Migration> migration_;
 };
 
 }  // namespace crcw::ds

@@ -1,146 +1,61 @@
 // ConcurrentHashSet — open-addressing key membership with arbitrary-CW
 // insert arbitration and a cooperative, lock-free, chunk-swept resize.
 //
-// The insert race *is* a concurrent write: every thread offering key k
-// races one compare-exchange on k's home bucket, exactly one wins, and
-// every loser learns wait-free whether the committed value was its own key
-// (present) or a stranger's (probe on) — TaggedBucket's claim protocol,
-// which is CAS-LT with the empty sentinel in the stale-round role. There
-// are no locks anywhere: inserts are lock-free (bounded by the probe
-// walk), lookups are wait-free reads.
+// The probe walks, the control-byte sidecar and the grow/reclaim
+// migration are OpenTable's (open_table.hpp); the set's slot is a bare
+// ClaimWord, 8 bytes per bucket. Inserts are lock-free (bounded by the
+// probe walk), lookups are wait-free reads, and there are no locks
+// anywhere.
 //
 // Erase is membership split from bucket ownership: a claimed bucket holds
-// its key forever (probe chains walk through it), while a side
-// AtomicBitset marks *tombstoned* buckets. The polarity is deliberate —
-// a freshly claimed bucket is live with the bit at rest, so the
-// insert-only fast path (the dedup/semijoin build phases measured by the
-// benches) is exactly one CAS with zero bitset traffic; only erase (first
-// bit-setter wins) and revive (first bit-clearer wins) pay an extra RMW,
-// each an arbitrary concurrent write of a boolean. Tombstones are dropped
-// by reclaim sweeps, which rebuild the array from the live buckets and
-// shrink it back toward the live count.
-//
-// Probing is Swiss-table-style group scanning over a control-byte sidecar
-// (one byte per bucket: kCtrlEmpty, kCtrlTombstone, or the key's H2
-// fingerprint — see hash_common.hpp): a walk snapshots 16 bytes per step
-// (util::Group) and verifies only the lanes whose byte could be the probed
-// key, so buckets claimed by fingerprint-mismatched keys cost no bucket-
-// line traffic at all. The sidecar is strictly a FILTER: bytes are
-// published with release stores *after* the authoritative RMW commits
-// (claim CAS, tombstone bit set, revive bit clear), every fingerprint hit
-// is re-verified against the atomic key word, and empty/tombstone lanes
-// are always candidates — so a stale byte can only cost an extra verify or
-// an extra group step, never a wrong answer. HashConfig::group_probe turns
-// the scan off for A/B runs; the sidecar is maintained either way.
-//
-// Growth is DHash-style cooperative migration, run *between* rounds at the
-// PRAM step boundary instead of behind per-bucket locks: one thread calls
-// grow_prepare(), every thread then sweeps chunks of the old bucket array
-// claimed from a shared cursor (one RMW per `migrate_chunk` buckets — the
-// SlotAllocator trick applied to migration), and after the team's barrier
-// one thread calls grow_finish() to swap the arrays. Inserts and the
-// migration sweep never overlap, so migration needs no flags on the
-// buckets themselves; the protocol's safety hangs on the same barrier the
-// round structure already provides.
-//
-//   serial:   if (set.needs_grow()) set.grow_prepare();
-//   parallel: if (set.growing()) set.grow_help();   // every thread
-//   barrier
-//   serial:   if (set.growing()) set.grow_finish();
-//
-// or, from serial code with an OpenMP team: set.maybe_grow_parallel().
+// its key until a migration drops it, while a side AtomicBitset marks
+// *tombstoned* buckets. The polarity is deliberate — a freshly claimed
+// bucket is live with the bit at rest, so the insert-only fast path (the
+// dedup/semijoin build phases measured by the benches) is exactly one CAS
+// with zero bitset traffic; only erase (first bit-setter wins) and revive
+// (first bit-clearer wins) pay an extra RMW, each an arbitrary concurrent
+// write of a boolean. Tombstones are dropped by reclaim sweeps, which
+// rebuild the array from the live buckets and shrink it back toward the
+// live count.
 #pragma once
 
-#include <omp.h>
-
-#include <atomic>
-#include <bit>
 #include <cassert>
 #include <concepts>
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <stdexcept>
 #include <utility>
-#include <vector>
 
-#include "core/round_tag.hpp"
+#include "core/tagged_bucket.hpp"
 #include "ds/hash_common.hpp"
-#include "util/aligned_buffer.hpp"
+#include "ds/open_table.hpp"
 #include "util/atomic_bitset.hpp"
-#include "util/simd.hpp"
 
 namespace crcw::ds {
 
 template <typename Key = std::uint64_t>
   requires std::unsigned_integral<Key>
-class ConcurrentHashSet {
- public:
-  static constexpr Key kEmptyKey = std::numeric_limits<Key>::max();
+class ConcurrentHashSet : public OpenTable<ConcurrentHashSet<Key>, ClaimWord<Key>> {
+  using Base = OpenTable<ConcurrentHashSet<Key>, ClaimWord<Key>>;
 
+ public:
   /// Sizes the bucket array so `capacity` keys stay under cfg.max_load.
   explicit ConcurrentHashSet(std::uint64_t capacity, HashConfig cfg = {})
-      : cfg_(std::move(cfg)),
-        telemetry_(cfg_),
-        buckets_(bucket_count_for(required_buckets(capacity, cfg_.max_load))),
-        dead_(buckets_.size()),
-        ctrl_(buckets_.size()),  // value-initialised atomics = all kCtrlEmpty
-        mask_(buckets_.size() - 1) {}
+      : Base(capacity, std::move(cfg)), dead_(this->bucket_count()) {}
 
-  [[nodiscard]] std::uint64_t bucket_count() const noexcept { return buckets_.size(); }
-
-  /// Live keys only (claimed minus tombstoned). Serial or post-barrier.
-  [[nodiscard]] std::uint64_t size() const noexcept {
-    return occupied_.total() - dead_.count();
-  }
-  /// Claimed buckets, live or dead — the probe-chain-length driver.
-  [[nodiscard]] std::uint64_t occupied() const noexcept { return occupied_.total(); }
   /// Current tombstones (erased keys still holding their buckets).
   [[nodiscard]] std::uint64_t tombstones() const noexcept { return dead_.count(); }
-  [[nodiscard]] const HashConfig& config() const noexcept { return cfg_; }
 
   /// Inserts `key`, reviving it if it was erased. Safe concurrently with
   /// other inserts, erases and lookups; NOT concurrently with the grow
   /// sweep (the round structure separates them). kInserted goes to the
   /// thread whose RMW made the key live: the claim winner on a fresh
   /// bucket, the tombstone-bit clearer on an erased one. Throws
-  /// std::invalid_argument for the reserved sentinel key.
-  SetInsert insert(Key key) {
-    check_key(key);
-    assert(!growing() && "insert during cooperative grow: missing barrier");
-    ProbeStats stats;
-    // Home-lane fast path, mirrored from the walks' probe 0. Home is lane
-    // zero of both walks and a claim must land on the earliest free lane,
-    // so attempting it before any group machinery changes no arbitration
-    // outcome — the common insert at moderate fill claims an empty home
-    // with one load and one CAS, never paying for a group snapshot. Only
-    // a stranger at home (or a lost claim to one) takes the outlined walk,
-    // which re-checks home once — a benign extra probe in the rare path.
-    const std::uint64_t mixed = mix64(key);
-    const std::uint64_t home = mixed & mask_;
-    ++stats.probes;
-    Key current = buckets_[home].key.load(std::memory_order_acquire);
-    SetInsert r;
-    if (current == kEmptyKey) {
-      telemetry_.cas();
-      if (buckets_[home].key.compare_exchange_strong(current, key,
-                                                     std::memory_order_acq_rel,
-                                                     std::memory_order_acquire)) {
-        ctrl_[home].store(ctrl_h2(mixed), std::memory_order_release);
-        telemetry_.win();
-        occupied_.add(1);
-        telemetry_.walk(stats);
-        return SetInsert::kInserted;
-      }
-      // Lost the claim; `current` holds the winner's key.
-    }
-    if (current == key) {
-      r = revive_or_found(home, ctrl_h2(mixed));
-    } else {
-      r = group_probing() ? insert_group(key, stats) : insert_scalar(key, stats);
-    }
-    telemetry_.walk(stats);
-    return r;
+  /// std::invalid_argument for the reserved sentinel key. Forced inline so
+  /// callers' insert loops keep the claim fast path in line (GCC's budget
+  /// otherwise stops at the claim walk it inlines).
+  [[gnu::always_inline]] SetInsert insert(Key key) {
+    return this->claim_slot(
+        key, SetInsert::kFull, [](std::uint64_t) { return SetInsert::kInserted; },
+        [this, key](std::uint64_t b) { return revive_or_found(b, key); });
   }
 
   /// Erases `key`: marks its bucket tombstoned. First setter wins —
@@ -148,24 +63,12 @@ class ConcurrentHashSet {
   /// if the key was absent or already erased). The bucket stays claimed
   /// until a reclaim sweep drops it.
   bool erase(Key key) {
-    check_key(key);
-    assert(!growing() && "erase during cooperative grow: missing barrier");
+    this->check_key(key);
+    assert(!this->growing() && "erase during cooperative grow: missing barrier");
     ProbeStats stats;
-    // Same home-lane fast path as insert(): a key match commits the
-    // tombstone directly, an empty home is a sound miss (see contains()),
-    // and only a stranger at home pays for the outlined walk.
-    ++stats.probes;
-    const std::uint64_t home = mix64(key) & mask_;
-    const Key at_home = buckets_[home].key.load(std::memory_order_acquire);
-    bool r;
-    if (at_home == key) {
-      r = commit_tombstone(home);
-    } else if (at_home == kEmptyKey) {
-      r = false;
-    } else {
-      r = group_probing() ? erase_group(key, stats) : erase_scalar(key, stats);
-    }
-    telemetry_.walk(stats);
+    const bool r = this->find_slot(
+        key, false, [this](std::uint64_t b) { return commit_tombstone(b); }, stats);
+    this->telemetry().walk(stats);
     return r;
   }
 
@@ -173,480 +76,56 @@ class ConcurrentHashSet {
   /// may or may not be visible (keys never move outside a grow sweep, so
   /// a live hit is always authoritative).
   [[nodiscard]] bool contains(Key key) const noexcept {
-    if (key == kEmptyKey) return false;
-    // Home-bucket fast path against the authoritative word — exactly the
-    // scalar walk's first step, shared by both probe modes so the common
-    // case inlines small at every call site. A match is a hit; an empty
-    // home is a sound miss (a displaced key implies its home was claimed
-    // at insert time, and buckets never unclaim outside barrier-separated
-    // migrations, so key-elsewhere ⇒ home non-empty). Only a stranger at
-    // home pays for the outlined walk.
-    const std::uint64_t mixed = mix64(key);
-    const std::uint64_t home = mixed & mask_;
-    const Key at_home = buckets_[home].key.load(std::memory_order_acquire);
-    if (at_home == key) return !dead_.test(home);
-    if (at_home == kEmptyKey) return false;
-    return contains_slow(key, mixed, home);
+    return this->find_slot(key, false, [this](std::uint64_t b) { return !dead_.test(b); });
   }
 
   /// Serial/post-barrier iteration over the committed live keys.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::uint64_t i = 0; i < buckets_.size(); ++i) {
-      const Key k = buckets_[i].key.load(std::memory_order_acquire);
-      if (k != kEmptyKey && !dead_.test(i)) fn(k);
+    for (std::uint64_t i = 0; i < this->bucket_count(); ++i) {
+      const Key k = this->slot(i).key();
+      if (k != Base::kEmptyKey && !dead_.test(i)) fn(k);
     }
-  }
-
-  /// Concurrent-safe membership scan, the set-shaped sibling of the map's
-  /// cut-predicated for_each_at. Every read is atomic (key word + liveness
-  /// bit), so it may run concurrently with inserts/erases/lookups — but the
-  /// set carries no round word beside its keys, so the cut round cannot
-  /// refine the view: each key is reported live-as-observed, and a caller
-  /// needing a round-exact cut uses ConcurrentHashMap (whose LiveTag packs
-  /// the round the way snapshots require). NOT safe concurrently with
-  /// grow/reclaim, same as the map's scan — park migrations first.
-  template <typename Fn>
-  void for_each_at(round_t /*cut_round*/, Fn&& fn) const {
-    for (std::uint64_t i = 0; i < buckets_.size(); ++i) {
-      const Key k = buckets_[i].key.load(std::memory_order_acquire);
-      if (k != kEmptyKey && !dead_.test(i)) fn(k);
-    }
-  }
-
-  /// Collecting wrapper over for_each_at. Same concurrency contract.
-  [[nodiscard]] std::vector<Key> scan_at(round_t cut_round) const {
-    std::vector<Key> out;
-    out.reserve(size());
-    for_each_at(cut_round, [&out](Key k) { out.push_back(k); });
-    return out;
-  }
-
-  // -- cooperative migration: grow and tombstone reclaim --------------------
-  // One protocol, two directions (see concurrent_hash_map.hpp): the sweep
-  // skips dead buckets, so every migration is also a reclaim, and
-  // reclaim_prepare points it at a target sized from the live count.
-
-  /// True once claimed buckets exceed cfg.max_load — tombstones count,
-  /// because they lengthen probe chains exactly like live keys. Serial or
-  /// post-barrier.
-  [[nodiscard]] bool needs_grow() const noexcept {
-    return static_cast<double>(occupied()) >
-           cfg_.max_load * static_cast<double>(buckets_.size());
-  }
-
-  /// Tombstone-ratio watermark (HashConfig::reclaim_ratio); the gap below
-  /// max_load is the grow/shrink hysteresis band.
-  [[nodiscard]] bool needs_reclaim() const noexcept {
-    const std::uint64_t dead = tombstones();
-    return dead > 0 && static_cast<double>(dead) >=
-                           cfg_.reclaim_ratio * static_cast<double>(buckets_.size());
-  }
-
-  /// Serial: allocates the next array (factor × buckets) and opens the
-  /// migration window.
-  void grow_prepare(std::uint64_t factor = 2) {
-    if (factor < 2) factor = 2;
-    migration_prepare(bucket_count_for(buckets_.size() * factor));
-  }
-
-  /// Serial: opens a migration sized for the live keys, so the sweep drops
-  /// every tombstone and the array shrinks back toward size()/max_load.
-  void reclaim_prepare() {
-    migration_prepare(bucket_count_for(required_buckets(size(), cfg_.max_load)));
-  }
-
-  [[nodiscard]] bool growing() const noexcept { return migration_ != nullptr; }
-
-  /// Any thread, repeatedly until it returns: claims chunks of the old
-  /// bucket array from the shared cursor and re-inserts every live bucket
-  /// into the next array (tombstoned ones are dropped — nothing can
-  /// revive them mid-sweep, since writes never overlap migrations).
-  /// Lock-free: one fetch_add per chunk, one claim CAS per live bucket,
-  /// and a stalled helper blocks nobody — the chunks it claimed are its
-  /// own. Returns when the cursor is exhausted (which does NOT mean every
-  /// chunk is migrated — the caller's barrier before grow_finish()
-  /// establishes that).
-  void grow_help() {
-    Migration& mig = *migration_;
-    const std::uint64_t end = buckets_.size();
-    for (;;) {
-      const std::uint64_t begin = mig.cursor.fetch_add(cfg_.migrate_chunk,
-                                                       std::memory_order_relaxed);
-      if (begin >= end) return;
-      telemetry_.chunk_claim();
-      const std::uint64_t stop = std::min(begin + cfg_.migrate_chunk, end);
-      std::uint64_t moved = 0;
-      std::uint64_t dropped = 0;
-      std::uint64_t probes = 0;
-      for (std::uint64_t i = begin; i < stop; ++i) {
-        const Key k = buckets_[i].key.load(std::memory_order_acquire);
-        if (k == kEmptyKey) continue;
-        if (dead_.test(i)) {
-          ++dropped;
-          continue;
-        }
-        migrate_into(mig, k, probes);
-        ++moved;
-      }
-      if (moved > 0) mig.live_moved.fetch_add(moved, std::memory_order_relaxed);
-      if (dropped > 0) mig.dropped.fetch_add(dropped, std::memory_order_relaxed);
-      if (probes > 0) telemetry_.probes(probes);  // one flush per chunk
-      telemetry_.migrated(stop - begin);
-    }
-  }
-
-  /// Serial, after every helper has passed the barrier: installs the next
-  /// array (and its all-clear tombstone bits — migrated keys are live by
-  /// construction).
-  void grow_finish() {
-    assert(growing() && "grow_finish without grow_prepare");
-    assert(migration_->cursor.load(std::memory_order_relaxed) >= buckets_.size() &&
-           "grow_finish before the migration sweep completed");
-    buckets_ = std::move(migration_->buckets);
-    dead_ = std::move(migration_->dead);
-    ctrl_ = std::move(migration_->ctrl);
-    mask_ = migration_->mask;
-    occupied_.reset();
-    occupied_.add(migration_->live_moved.load(std::memory_order_relaxed));
-    telemetry_.reclaimed(migration_->dropped.load(std::memory_order_relaxed));
-    migration_.reset();
-  }
-
-  /// Serial convenience: the whole protocol over an OpenMP team.
-  /// `threads <= 0` means the ambient OpenMP default.
-  void grow_parallel(int threads = 0, std::uint64_t factor = 2) {
-    grow_prepare(factor);
-#pragma omp parallel num_threads(threads > 0 ? threads : omp_get_max_threads())
-    grow_help();
-    // The implicit barrier at parallel-region end is the protocol barrier.
-    grow_finish();
-  }
-
-  /// Serial: grows iff needed; returns whether it grew.
-  bool maybe_grow_parallel(int threads = 0, std::uint64_t factor = 2) {
-    if (!needs_grow()) return false;
-    grow_parallel(threads, factor);
-    return true;
-  }
-
-  /// Cooperative rebuild toward the live count: drops every tombstone and
-  /// shrinks the array if churn left it oversized.
-  void reclaim_parallel(int threads = 0) {
-    reclaim_prepare();
-#pragma omp parallel num_threads(threads > 0 ? threads : omp_get_max_threads())
-    grow_help();
-    grow_finish();
-  }
-
-  /// Watermark-gated reclaim for step boundaries. Returns true iff a
-  /// rebuild ran.
-  bool maybe_reclaim_parallel(int threads = 0) {
-    if (!needs_reclaim()) return false;
-    reclaim_parallel(threads);
-    return true;
-  }
-
-  /// Backlog-sized grow (ROADMAP "resize-storm tail"): one grow sized for
-  /// `backlog` further inserts on top of the current occupancy, instead of
-  /// a cascade of ×2 grows each re-migrating every key. Returns true iff a
-  /// grow ran. Serial/step-boundary only, like every grow entry point.
-  bool maybe_grow_for_backlog(std::uint64_t backlog, int threads = 0) {
-    const std::uint64_t occ = occupied();
-    const std::uint64_t demand =
-        backlog > std::numeric_limits<std::uint64_t>::max() - occ
-            ? std::numeric_limits<std::uint64_t>::max()
-            : occ + backlog;
-    const std::uint64_t want = bucket_count_for(required_buckets(demand, cfg_.max_load));
-    if (want <= buckets_.size()) return false;
-    // Both sides are powers of two, so the division is exact — the old
-    // `size * factor < want` doubling loop could wrap to 0 for huge
-    // backlogs and never terminate.
-    grow_parallel(threads, want / buckets_.size());
-    return true;
-  }
-
-  // -- telemetry ------------------------------------------------------------
-
-  [[nodiscard]] TableTelemetry& telemetry() noexcept { return telemetry_; }
-
-  /// Round boundary hook: folds the round's counter deltas into the site's
-  /// per-round histograms. Serial/post-barrier.
-  void flush_round() noexcept { telemetry_.flush_round(); }
-
-  // -- test/debug introspection (serial or post-barrier only) ---------------
-
-  /// Raw control byte for bucket `i` — lets tests assert the sidecar
-  /// invariants (empty / tombstone / fingerprint) across erase, revive
-  /// and reclaim without poking at internals.
-  [[nodiscard]] std::uint8_t debug_ctrl(std::uint64_t i) const noexcept {
-    return ctrl_[i].load(std::memory_order_acquire);
-  }
-
-  /// Index of the bucket claimed by `key` (live or tombstoned), or ~0 if
-  /// unclaimed. Always a scalar walk, so it double-checks the group path.
-  [[nodiscard]] std::uint64_t debug_bucket_of(Key key) const noexcept {
-    std::uint64_t b = mix64(key) & mask_;
-    for (std::uint64_t probe = 0; probe <= mask_; ++probe) {
-      const Key current = buckets_[b].key.load(std::memory_order_acquire);
-      if (current == key) return b;
-      if (current == kEmptyKey) return ~std::uint64_t{0};
-      b = (b + 1) & mask_;
-    }
-    return ~std::uint64_t{0};
   }
 
  private:
-  struct Bucket {
-    std::atomic<Key> key{kEmptyKey};
-  };
+  friend Base;
 
-  struct Migration {
-    util::AlignedBuffer<Bucket> buckets;
-    util::AtomicBitset dead;
-    util::AlignedBuffer<std::atomic<std::uint8_t>> ctrl;
-    std::uint64_t mask = 0;
-    alignas(util::kCacheLineSize) std::atomic<std::uint64_t> cursor{0};
-    std::atomic<std::uint64_t> live_moved{0};
-    std::atomic<std::uint64_t> dropped{0};
-  };
+  [[nodiscard]] bool slot_live(std::uint64_t i) const noexcept { return !dead_.test(i); }
+  void clear_tombstones() { dead_ = util::AtomicBitset(this->bucket_count()); }
+  /// A migrated set slot carries nothing beside its key.
+  static void carry(const ClaimWord<Key>& /*from*/, ClaimWord<Key>& /*to*/) noexcept {}
 
-  static void check_key(Key key) {
-    if (key == kEmptyKey) {
-      throw std::invalid_argument("ConcurrentHashSet: the all-ones key is reserved");
-    }
-  }
-
-  [[nodiscard]] bool group_probing() const noexcept {
-    return cfg_.group_probe && buckets_.size() >= util::kGroupWidth;
-  }
-
-  /// Displaced-chain tail of contains(), outlined (noinline) so the inlined
-  /// fast path stays a handful of instructions at every call site. `home`
-  /// has already been verified to hold a different live-or-dead key.
-  [[nodiscard, gnu::noinline]] bool contains_slow(Key key, std::uint64_t mixed,
-                                                  std::uint64_t home) const noexcept {
-    if (group_probing()) {
-      const std::uint8_t fp = ctrl_h2(mixed);
-      GroupWalk walk(home, buckets_.size());
-      for (std::uint32_t lanes = walk.first(); !walk.done(); lanes = walk.next()) {
-        const util::Group grp = util::Group::load(&ctrl_[walk.base()]);
-        // Read-only walk: fingerprint candidates first (a full byte means
-        // a permanently claimed bucket, so a key match is authoritative
-        // wherever it sits), then the sentinel lanes in order — only they
-        // can terminate the chain, and each one is verified against the
-        // bucket word so a stale empty hiding this key is still caught.
-        std::uint32_t fpm = grp.match(fp) & lanes;
-        while (fpm != 0) {
-          const std::uint64_t b = walk.base() + std::countr_zero(fpm);
-          fpm &= fpm - 1;
-          if (buckets_[b].key.load(std::memory_order_acquire) == key) {
-            return !dead_.test(b);
-          }
-        }
-        std::uint32_t spec = grp.match_special() & lanes;
-        while (spec != 0) {
-          const std::uint64_t b = walk.base() + std::countr_zero(spec);
-          spec &= spec - 1;
-          const Key current = buckets_[b].key.load(std::memory_order_acquire);
-          if (current == key) return !dead_.test(b);
-          if (current == kEmptyKey) return false;
-        }
-      }
-      return false;
-    }
-    std::uint64_t b = (home + 1) & mask_;
-    for (std::uint64_t probe = 1; probe <= mask_; ++probe) {
-      const Key current = buckets_[b].key.load(std::memory_order_acquire);
-      if (current == key) return !dead_.test(b);
-      if (current == kEmptyKey) return false;
-      b = (b + 1) & mask_;
-    }
-    return false;
-  }
-
-  /// Scalar walk (sub-group tables and the group_probe=OFF A/B lever).
-  /// Identical arbitration to the group walk; probe telemetry accumulates
-  /// in `stats` instead of paying one sharded RMW per bucket.
-  [[gnu::noinline]] SetInsert insert_scalar(Key key, ProbeStats& stats) {
-    const std::uint64_t mixed = mix64(key);
-    const std::uint8_t fp = ctrl_h2(mixed);
-    std::uint64_t b = mixed & mask_;
-    for (std::uint64_t probe = 0; probe <= mask_; ++probe) {
-      ++stats.probes;
-      Key current = buckets_[b].key.load(std::memory_order_acquire);
-      if (current == kEmptyKey) {
-        telemetry_.cas();
-        if (buckets_[b].key.compare_exchange_strong(current, key,
-                                                    std::memory_order_acq_rel,
-                                                    std::memory_order_acquire)) {
-          ctrl_[b].store(fp, std::memory_order_release);
-          telemetry_.win();
-          occupied_.add(1);
-          return SetInsert::kInserted;  // fresh claim is born live
-        }
-        // Lost the claim; `current` holds the winner's key — observe it
-        // wait-free, no reload, no retry on this bucket.
-      }
-      if (current == key) return revive_or_found(b, fp);
-      b = (b + 1) & mask_;
-    }
-    return SetInsert::kFull;
-  }
-
-  /// Shared insert tail for a bucket already holding the key: live is a
-  /// plain kFound with no RMW; tombstoned races the revive — the first
-  /// bit clearer wins and republishes the fingerprint byte.
-  SetInsert revive_or_found(std::uint64_t b, std::uint8_t fp) {
+  /// Insert tail for a bucket already holding the key: live is a plain
+  /// kFound with no RMW; tombstoned races the revive — the first bit
+  /// clearer wins and republishes the fingerprint byte.
+  SetInsert revive_or_found(std::uint64_t b, Key key) {
     if (!dead_.test(b)) return SetInsert::kFound;  // live: no RMW
-    telemetry_.cas();
+    this->telemetry().cas();
     if (dead_.test_and_reset(b)) {  // revive race: first clearer wins
-      ctrl_[b].store(fp, std::memory_order_release);
-      telemetry_.win();
+      this->publish_live(b, key);
+      this->telemetry().win();
       return SetInsert::kInserted;
     }
     return SetInsert::kFound;
   }
 
-  /// Group walk: verify only the lanes whose control byte is the key's
-  /// fingerprint, a tombstone, or empty. A fingerprint hit that fails
-  /// verification (a different key behind the byte) just moves to the
-  /// next candidate — filter-with-verify, the claim word stays the only
-  /// truth. Claim attempts still land on every empty-flagged lane, so the
-  /// one-winner-per-key CAS race is bit-for-bit the scalar one.
-  [[gnu::noinline]] SetInsert insert_group(Key key, ProbeStats& stats) {
-    const std::uint64_t mixed = mix64(key);
-    const std::uint8_t fp = ctrl_h2(mixed);
-    GroupWalk walk(mixed & mask_, buckets_.size());
-    for (std::uint32_t lanes = walk.first(); !walk.done(); lanes = walk.next()) {
-      const util::Group grp = util::Group::load(&ctrl_[walk.base()]);
-      ++stats.group_loads;
-      const std::uint32_t h2m = grp.match(fp) & lanes;
-      std::uint32_t cand = (h2m | grp.match_special()) & lanes;
-      while (cand != 0) {
-        const auto lane = static_cast<unsigned>(std::countr_zero(cand));
-        cand &= cand - 1;
-        const std::uint64_t b = walk.base() + lane;
-        ++stats.probes;
-        Key current = buckets_[b].key.load(std::memory_order_acquire);
-        if (current == kEmptyKey) {
-          telemetry_.cas();
-          if (buckets_[b].key.compare_exchange_strong(current, key,
-                                                      std::memory_order_acq_rel,
-                                                      std::memory_order_acquire)) {
-            ctrl_[b].store(fp, std::memory_order_release);
-            telemetry_.win();
-            occupied_.add(1);
-            return SetInsert::kInserted;
-          }
-        }
-        if (current == key) return revive_or_found(b, fp);
-        if (((h2m >> lane) & 1u) != 0) ++stats.fps;
-      }
-    }
-    return SetInsert::kFull;
-  }
-
-  [[gnu::noinline]] bool erase_scalar(Key key, ProbeStats& stats) {
-    std::uint64_t b = mix64(key) & mask_;
-    for (std::uint64_t probe = 0; probe <= mask_; ++probe) {
-      ++stats.probes;
-      const Key current = buckets_[b].key.load(std::memory_order_acquire);
-      if (current == kEmptyKey) return false;
-      if (current == key) return commit_tombstone(b);
-      b = (b + 1) & mask_;
-    }
-    return false;
-  }
-
-  [[gnu::noinline]] bool erase_group(Key key, ProbeStats& stats) {
-    const std::uint64_t mixed = mix64(key);
-    const std::uint8_t fp = ctrl_h2(mixed);
-    GroupWalk walk(mixed & mask_, buckets_.size());
-    for (std::uint32_t lanes = walk.first(); !walk.done(); lanes = walk.next()) {
-      const util::Group grp = util::Group::load(&ctrl_[walk.base()]);
-      ++stats.group_loads;
-      const std::uint32_t h2m = grp.match(fp) & lanes;
-      std::uint32_t cand = (h2m | grp.match_special()) & lanes;
-      while (cand != 0) {
-        const auto lane = static_cast<unsigned>(std::countr_zero(cand));
-        cand &= cand - 1;
-        const std::uint64_t b = walk.base() + lane;
-        ++stats.probes;
-        const Key current = buckets_[b].key.load(std::memory_order_acquire);
-        if (current == kEmptyKey) return false;
-        if (current == key) return commit_tombstone(b);
-        if (((h2m >> lane) & 1u) != 0) ++stats.fps;
-      }
-    }
-    return false;
-  }
-
-  /// Shared erase tail: first bit-setter wins, and only the winner
-  /// publishes the tombstone byte — losers and already-dead hits leave the
-  /// sidecar alone (a late byte store racing a revive is benign: tombstone
-  /// lanes stay probe candidates forever).
+  /// Erase tail: first bit-setter wins, and only the winner publishes the
+  /// tombstone byte — losers and already-dead hits leave the sidecar alone
+  /// (a late byte store racing a revive is benign: tombstone lanes stay
+  /// probe candidates forever).
   bool commit_tombstone(std::uint64_t b) {
     if (dead_.test(b)) return false;  // already tombstoned: no RMW
-    telemetry_.cas();
+    this->telemetry().cas();
     if (dead_.test_and_set(b)) {
-      ctrl_[b].store(kCtrlTombstone, std::memory_order_release);
-      telemetry_.tombstone();
+      this->publish_tombstone(b);
+      this->telemetry().tombstone();
       return true;
     }
     return false;  // a racing eraser set the bit first
   }
 
-  void migration_prepare(std::uint64_t target_buckets) {
-    assert(!growing() && "migration_prepare while a migration is already open");
-    auto mig = std::make_unique<Migration>();
-    mig->buckets = util::AlignedBuffer<Bucket>(target_buckets);
-    mig->dead = util::AtomicBitset(target_buckets);
-    mig->ctrl = util::AlignedBuffer<std::atomic<std::uint8_t>>(target_buckets);
-    mig->mask = mig->buckets.size() - 1;
-    migration_ = std::move(mig);
-  }
-
-  /// Migration insert: helpers never offer the same key twice (keys are
-  /// unique in the old array), so the claim either wins or probes past a
-  /// different key — kHeld cannot happen, and the target (sized for every
-  /// live key at max_load ≤ 1) cannot fill. The sweep probes scalar (keys
-  /// arrive pre-deduplicated and the target is sparse, so group filtering
-  /// buys little) but still seeds the next array's control bytes, so the
-  /// first post-swap walk finds a fully populated sidecar. Probe counts
-  /// accumulate in `probes` and flush once per chunk from grow_help.
-  void migrate_into(Migration& mig, Key key, std::uint64_t& probes) {
-    const std::uint64_t mixed = mix64(key);
-    std::uint64_t b = mixed & mig.mask;
-    for (;;) {
-      ++probes;
-      Key current = mig.buckets[b].key.load(std::memory_order_acquire);
-      if (current == kEmptyKey) {
-        telemetry_.cas();
-        if (mig.buckets[b].key.compare_exchange_strong(current, key,
-                                                       std::memory_order_acq_rel,
-                                                       std::memory_order_acquire)) {
-          // Relaxed is enough: grow_finish's barrier publishes the whole
-          // next array before any probe can see these bytes.
-          mig.ctrl[b].store(ctrl_h2(mixed), std::memory_order_relaxed);
-          return;
-        }
-      }
-      assert(current != key && "duplicate key in migration sweep");
-      b = (b + 1) & mig.mask;
-    }
-  }
-
-  HashConfig cfg_;
-  TableTelemetry telemetry_;
-  util::AlignedBuffer<Bucket> buckets_;
   util::AtomicBitset dead_;
-  // Control-byte sidecar, one byte per bucket (filter only — see the header
-  // comment). Declared after dead_ to match the ctor init order.
-  util::AlignedBuffer<std::atomic<std::uint8_t>> ctrl_;
-  std::uint64_t mask_;
-  ShardedCounter occupied_;
-  std::unique_ptr<Migration> migration_;
 };
 
 }  // namespace crcw::ds

@@ -1,7 +1,7 @@
 // Shared vocabulary of the ds/ hash tables: the key mixer, probe/capacity
 // arithmetic, sharded size counters, and the telemetry knob.
 //
-// Layering: ds/ sits on core/ (TaggedBucket, RoundTag, SlotAllocator) and
+// Layering: ds/ sits on core/ (ClaimWord, TaggedBucket, LiveTag) and
 // util/, and reports into obs/ the same way the arbiters do — through a
 // ContentionSite, so table probes/migrations land in the same
 // MetricsRegistry snapshots and BENCH_*.json counters as the CW kernels.
@@ -156,6 +156,16 @@ struct ProbeStats {
   std::uint64_t fps = 0;          ///< fingerprint hits that verified false
 };
 
+/// ProbeStats' stand-in for walks that report nothing (lookups keep
+/// telemetry off the read path): the walk's `++stats.probes` statements
+/// compile to nothing.
+struct NoProbeStats {
+  struct Tally {
+    constexpr void operator++() const noexcept {}
+  };
+  Tally probes, group_loads, fps;
+};
+
 /// Cursor over the aligned 16-lane control groups of one probe walk: the
 /// first group masks off the lanes before the home bucket (they belong to
 /// earlier probe chains), then whole groups follow in wrapping order. The
@@ -239,7 +249,7 @@ struct HashConfig {
   /// tombstone floor as reclaim_probe_p99.
   double reclaim_fp_rate = 0.0;
   /// Probe via the control-byte sidecar, 16 buckets per group load (the
-  /// tentpole path). OFF forces the scalar bucket-at-a-time walk — the
+  /// default path). OFF forces the scalar bucket-at-a-time walk — the
   /// A/B lever bench/micro_probe.cpp and the equivalence tests use; the
   /// sidecar is maintained either way, so flipping the knob between runs
   /// of the same workload is safe. Tables smaller than one group always
@@ -249,14 +259,6 @@ struct HashConfig {
   /// profile passes only — counting costs sharded RMWs (see
   /// InstrumentedPolicy's caveat).
   bool telemetry = false;
-  /// Adaptive retry backoff (chained set only — the open tables' CAS-LT
-  /// claim is wait-free and never retries): cap the head-CAS Backoff
-  /// ceiling off the site's live failure rate, re-sampled at each
-  /// flush_round (util::AdaptiveBackoffCeiling). Needs `telemetry` — the
-  /// failure rate comes from the site's atomics/wins counters; without it
-  /// the ceiling stays at the quiet default. The ext_hash storm bench A/Bs
-  /// this knob.
-  bool adaptive_backoff = false;
   /// Site name when telemetry is on.
   std::string site_name = "hash";
 };
@@ -313,9 +315,11 @@ class ShardedCounter {
 ///              workload a lower attempts count at unchanged CAS/win
 ///              counts is the SIMD saving; attempts/wins = mean verified
 ///              probe length)
-///   atomics    claim/tag CASes issued
-///   wins       inserts that committed a new key
-///   refills    chunk claims (migration sweeps, chained node grants)
+///   atomics    every claim CAS issued (won or lost), tag CASes and
+///              liveness-bit RMWs
+///   wins       fresh bucket claims, plus revives of erased keys by the
+///              build-phase inserts (set insert, map insert_first)
+///   refills    migration chunk claims from the shared sweep cursor
 ///   reset_tags buckets migrated by resize sweeps
 ///   tombstones erase commits (one CAS each; the churn benches divide by
 ///              erase count to pin the one-CAS-per-(key,round) claim)
@@ -334,15 +338,18 @@ class TableTelemetry {
   /// One probe walk's locally accumulated tallies, flushed in a single
   /// visit (≤ 3 shard RMWs + 1 histogram bump per OPERATION, not per
   /// bucket). Also feeds the probe-length histogram behind the
-  /// probe_p50/p99 accessors.
+  /// probe_p50/p99 accessors. The flush itself is outlined, like the
+  /// per-CAS and per-win counts below: a table op inlines only the site
+  /// test, which keeps the ops and walks small enough for GCC to keep
+  /// their state in registers and inline them into callers' loops.
   void walk(const ProbeStats& s) noexcept {
-    if (site_) site_->record_walk(s.probes, s.group_loads, s.fps);
+    if (site_) record_walk(s);
   }
   void cas() noexcept {
-    if (site_) site_->count_atomic();
+    if (site_) count_atomic();
   }
   void win() noexcept {
-    if (site_) site_->count_win();
+    if (site_) count_win();
   }
   void chunk_claim() noexcept {
     if (site_) site_->add_refills(1);
@@ -387,6 +394,12 @@ class TableTelemetry {
   }
 
  private:
+  [[gnu::noinline]] void record_walk(const ProbeStats& s) noexcept {
+    site_->record_walk(s.probes, s.group_loads, s.fps);
+  }
+  [[gnu::noinline]] void count_atomic() noexcept { site_->count_atomic(); }
+  [[gnu::noinline]] void count_win() noexcept { site_->count_win(); }
+
   std::unique_ptr<obs::ContentionSite> site_;
 };
 

@@ -7,11 +7,12 @@
 // has demonstrably lost (oversubscription, preempted lock holder).
 //
 // Scope discipline: this belongs on genuine RETRY loops only — the
-// RequestQueue lane spinlocks and the chained set's Treiber head CAS. The
-// CAS-LT claim path must never see it: a (key, round) arbitration issues at
-// most one compare-exchange and its losers are done wait-free, so there is
-// nothing to retry and a pause would only add latency to a path the paper
-// proves contention-immune (serve/op.hpp's BackoffState covers the
+// RequestQueue lane spinlocks, the serve pump's SpinLock and the
+// incremental-CC hook CAS (stream/incremental_cc.hpp). The CAS-LT claim
+// path must never see it: a (key, round) arbitration issues at most one
+// compare-exchange and its losers are done wait-free, so there is nothing
+// to retry and a pause would only add latency to a path the paper proves
+// contention-immune (serve/op.hpp's BackoffState covers the
 // admission-watermark wait, a different, higher-level concern).
 #pragma once
 
@@ -85,50 +86,6 @@ class SpinLock {
 
  private:
   std::atomic_flag flag_;
-};
-
-/// Adaptive ceiling for a family of Backoff loops at one contention site
-/// (the ROADMAP contention item): observe() folds a failure-rate sample —
-/// failed RMWs over issued RMWs, e.g. a ContentionSite's atomics vs wins —
-/// and linearly maps it into [quiet_ceiling, storm_ceiling]. A quiet site
-/// caps its losers after a few doublings (pausing longer only adds
-/// latency); a stormy one lets the doubling run further before the yield
-/// tier, which is exactly when getting off the line pays (Dice/Hendler/
-/// Mirsky). make() stamps a Backoff with the current ceiling; the store is
-/// relaxed, so a racing reader sees a slightly stale ceiling at worst.
-class AdaptiveBackoffCeiling {
- public:
-  explicit AdaptiveBackoffCeiling(std::uint32_t quiet_ceiling = 64,
-                                  std::uint32_t storm_ceiling = 4096) noexcept
-      : quiet_(quiet_ceiling < 1 ? 1 : quiet_ceiling),
-        storm_(storm_ceiling < quiet_ ? quiet_ : storm_ceiling),
-        ceiling_(quiet_) {}
-
-  /// Folds one failure-rate sample. `attempts` = RMWs issued, `failures`
-  /// = RMWs that lost (retried); attempts == 0 keeps the prior ceiling.
-  void observe(std::uint64_t attempts, std::uint64_t failures) noexcept {
-    if (attempts == 0) return;
-    const double rate =
-        failures >= attempts ? 1.0
-                             : static_cast<double>(failures) / static_cast<double>(attempts);
-    const auto span = static_cast<double>(storm_ - quiet_);
-    ceiling_.store(quiet_ + static_cast<std::uint32_t>(rate * span),
-                   std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint32_t ceiling() const noexcept {
-    return ceiling_.load(std::memory_order_relaxed);
-  }
-
-  /// A Backoff capped at the current adaptive ceiling.
-  [[nodiscard]] Backoff make(std::uint32_t min_spins = 4) const noexcept {
-    return Backoff(min_spins, ceiling());
-  }
-
- private:
-  std::uint32_t quiet_;
-  std::uint32_t storm_;
-  std::atomic<std::uint32_t> ceiling_;
 };
 
 }  // namespace crcw::util

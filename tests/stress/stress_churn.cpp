@@ -2,14 +2,13 @@
 // label: churn-stress — the compound token matches both `-L churn` and
 // `-L stress`).
 //
-// The erase/reclaim safety argument has three legs, and each gets its own
+// The erase/reclaim safety argument has two legs, and each gets its own
 // TSan-visible schedule here: (1) erase and upsert share ONE CAS-LT
 // arbitration, so mixed same-round writers still produce exactly one
 // winner; (2) the reclaim rebuild is the grow protocol pointed the other
 // way — prepare | help | finish between rounds — and must preserve every
-// committed (round, value) while dropping every tombstone; (3) the
-// chained set's erase CAS + node recycling keep the arena bounded while
-// lifetime churn exceeds it many times over.
+// committed (round, value) while dropping every tombstone, so the bucket
+// count stays bounded while lifetime churn exceeds it many times over.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ds/chained_hash_set.hpp"
 #include "ds/concurrent_hash_map.hpp"
 #include "ds/concurrent_hash_set.hpp"
 #include "stress_common.hpp"
@@ -182,57 +180,6 @@ TEST(StressChurn, SetBucketCountStaysBoundedUnderLockstepChurn) {
 
   EXPECT_LE(max_buckets, band);
   EXPECT_EQ(set.size(), 0u);
-}
-
-// Chained set: overlapping offers (dedup races), contended erase CAS
-// (exactly one true per key), serial reclaim restocking the allocator —
-// lifetime node churn is many multiples of the arena.
-TEST(StressChurn, ChainedEraseOneWinnerAndArenaRecycles) {
-  const int threads = thread_count();
-  const round_t rounds = scaled(40, 10);
-  const std::uint64_t keys_per_round = scaled(256, 64);
-
-  // Arena bound: one round's worst case is a node per thread per offer;
-  // two rounds' worth of headroom, recycled thereafter.
-  const std::uint64_t arena_cap =
-      2 * static_cast<std::uint64_t>(threads) * keys_per_round;
-  ds::ChainedHashSet<> set(arena_cap, threads);
-  std::atomic<std::uint64_t> erased{0};
-
-  std::barrier sync(threads);
-  run_barrier_threads(sync, threads, [&](int tid) {
-    for (round_t r = 1; r <= rounds; ++r) {
-      // Phase 1: every thread offers the same window → maximal Treiber
-      // push + self-tombstone dedup contention.
-      const std::uint64_t base = (r - 1) * keys_per_round;
-      for (std::uint64_t i = 0; i < keys_per_round; ++i) {
-        ASSERT_NE(set.insert(tid, base + i), ds::SetInsert::kFull)
-            << "arena exhausted in round " << r << " — recycling broken";
-      }
-      sync.arrive_and_wait();
-
-      // Phase 2: every thread tries to erase every key — the dead-flag
-      // CAS admits exactly one winner per live node.
-      for (std::uint64_t i = 0; i < keys_per_round; ++i) {
-        if (set.erase(base + i)) erased.fetch_add(1, std::memory_order_relaxed);
-      }
-      sync.arrive_and_wait();
-
-      // Phase 3 (serial): audit, then recycle the round's tombstones.
-      if (tid == 0) {
-        ASSERT_EQ(erased.exchange(0, std::memory_order_relaxed), keys_per_round)
-            << "round " << r;
-        ASSERT_EQ(set.size(), 0u);
-        const std::uint64_t freed = set.reclaim();
-        ASSERT_GE(freed, keys_per_round);  // erased keys + dedup losers
-        ASSERT_EQ(set.tombstones(), 0u);
-      }
-      sync.arrive_and_wait();
-    }
-  });
-
-  // Recycling carried most grants once the first round's nodes came back.
-  EXPECT_GT(set.allocator().recycled_grants(), 0u);
 }
 
 }  // namespace

@@ -12,12 +12,13 @@
 #include <atomic>
 #include <barrier>
 #include <cstdint>
-#include <set>
+#include <memory>
+#include <thread>
 #include <vector>
 
-#include "ds/chained_hash_set.hpp"
 #include "ds/concurrent_hash_map.hpp"
 #include "ds/concurrent_hash_set.hpp"
+#include "obs/metrics.hpp"
 #include "stress_common.hpp"
 
 namespace crcw::stress {
@@ -128,33 +129,72 @@ TEST(StressHashResize, MapUpsertOneWinnerPerKeyAcrossGrows) {
   EXPECT_EQ(map.size(), kKeys);
 }
 
-// Chained set: raw-thread lanes, overlapping key ranges, Treiber push +
-// self-tombstone dedup under TSan's eye.
-TEST(StressHashResize, ChainedSetDedupesUnderContention) {
-  const int threads = thread_count();
-  const round_t rounds = scaled(50, 10);
-  const std::uint64_t keys_per_round = scaled(128, 48);
+// The map's claim telemetry under a real claim race: all threads start
+// together and offer the same fresh keys, in the same order, through
+// insert_first. A thread that falls behind skips keys already claimed
+// (no CAS) until it catches up, and from then on the threads race for
+// the same empty buckets, so some claim CASes lose. The claim walk counts
+// every CAS it issues, so atomics must come to exceed wins (one per fresh
+// key); counting only the winning CASes would pin the two equal and
+// report zero failures under any contention. Every window gets a fresh
+// table, so memory stays flat; repeats are bounded, and the loop stops as
+// soon as a lost CAS has shown.
+TEST(StressHashResize, MapInsertFirstCountsLostClaimCases) {
+  using Map = ds::ConcurrentHashMap<std::uint64_t, std::uint64_t>;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kWindow = 4096;
+  const int repeats = scaled(200, 50);
 
-  // Arena bound: every thread may spend a node for every offer.
-  ds::ChainedHashSet<> set(
-      static_cast<std::uint64_t>(threads) * rounds * keys_per_round, threads);
+  ds::HashConfig cfg;
+  cfg.telemetry = true;
+  cfg.site_name = "stress-insert-first";
+  std::unique_ptr<Map> map;
+  std::atomic<std::uint64_t> inserted{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> arrived{0};
+  bool lost_seen = false;  // thread 0 only
+  std::barrier sync(kThreads);
 
-  run_lockstep(threads, rounds,
-               [&](int tid, round_t r) {
-                 // All threads offer the same window → maximal dedup races.
-                 const std::uint64_t base = (r - 1) * keys_per_round;
-                 for (std::uint64_t i = 0; i < keys_per_round; ++i) {
-                   (void)set.insert(tid, base + i);
-                 }
-               },
-               [&](round_t r) {
-                 ASSERT_EQ(set.size(), r * keys_per_round);
-                 std::set<std::uint64_t> seen;
-                 set.for_each([&](std::uint64_t k) {
-                   ASSERT_TRUE(seen.insert(k).second) << "duplicate live key " << k;
-                 });
-                 ASSERT_EQ(seen.size(), r * keys_per_round);
-               });
+  run_barrier_threads(sync, kThreads, [&](int tid) {
+    for (int rep = 0; rep < repeats; ++rep) {
+      if (tid == 0) {
+        map = std::make_unique<Map>(kWindow, cfg);
+        inserted.store(0, std::memory_order_relaxed);
+      }
+      sync.arrive_and_wait();
+      // A barrier wakes its waiters one at a time; a spin release lets
+      // every running thread into the window at nearly the same moment.
+      arrived.fetch_add(1, std::memory_order_acq_rel);
+      while (arrived.load(std::memory_order_acquire) < kThreads * (rep + 1)) {
+        std::this_thread::yield();
+      }
+      for (std::uint64_t k = 0; k < kWindow; ++k) {
+        if (map->insert_first(k, static_cast<std::uint64_t>(tid)) ==
+            ds::SetInsert::kInserted) {
+          inserted.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      sync.arrive_and_wait();
+      // Thread 0 audits with EXPECT, not ASSERT: an early return would
+      // leave the others spinning on `arrived` for a thread that is gone.
+      // Every thread stops together once the window is wrong or a lost
+      // CAS has been counted.
+      if (tid == 0) {
+        const obs::ContentionTotals t = map->telemetry().site()->totals();
+        const std::uint64_t got = inserted.load(std::memory_order_relaxed);
+        EXPECT_EQ(got, kWindow) << "one winner per fresh key, repeat " << rep;
+        EXPECT_EQ(t.wins, kWindow);
+        lost_seen = t.atomics > t.wins;
+        stop.store(got != kWindow || t.wins != kWindow || lost_seen,
+                   std::memory_order_relaxed);
+      }
+      sync.arrive_and_wait();
+      if (stop.load(std::memory_order_relaxed)) return;
+    }
+  });
+
+  EXPECT_TRUE(lost_seen) << "no lost claim CAS counted in " << repeats
+                         << " contended windows";
 }
 
 }  // namespace

@@ -88,10 +88,8 @@ TEST(Dedup, ProfileReportsTableWork) {
     }
     ASSERT_TRUE(totals.has_value()) << method;
     EXPECT_EQ(totals->wins, 800u) << method;  // one win per distinct key
-    // Every duplicate insert walks at least one node/bucket to find its
-    // key (the chained pre-scan reports 0 probes on an empty chain, so the
-    // floor is duplicates, not all inserts).
-    EXPECT_GE(totals->attempts, keys.size() - totals->wins) << method;
+    // Every insert verifies at least its home bucket.
+    EXPECT_GE(totals->attempts, keys.size()) << method;
     EXPECT_GE(totals->atomics, totals->wins) << method;
   }
 }

@@ -1,6 +1,6 @@
 // Long-lived churn lifecycle across the ds/ tables (ctest label ds-churn):
 // erase-vs-upsert round arbitration, live-only size accounting, and the
-// property the tentpole exists for — bucket/arena consumption stays
+// property the lifecycle exists for — bucket consumption stays
 // BOUNDED under unbounded insert/erase cycles, because reclaim sweeps
 // drop tombstones and shrink instead of letting the tables grow forever.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ds/chained_hash_set.hpp"
 #include "ds/concurrent_hash_map.hpp"
 #include "ds/concurrent_hash_set.hpp"
 #include "ds/hash_common.hpp"
@@ -32,9 +31,6 @@ TEST(ChurnSizing, RequiredBucketsCeilingAcrossTables) {
 
   ConcurrentHashSet<> set(5, cfg);
   EXPECT_EQ(set.bucket_count(), 16u);
-
-  ChainedHashSet<> chained(5, 1, cfg);
-  EXPECT_EQ(chained.bucket_count(), 16u);
 }
 
 TEST(ChurnSizing, SizingArithmeticSurvivesHugeDemands) {
@@ -322,33 +318,6 @@ TEST(ChurnSignal, TelemetryOffYieldsTheZeroSignal) {
   EXPECT_EQ(sig.fingerprint_fps, 0u);
   EXPECT_EQ(sig.group_loads, 0u);
   EXPECT_FALSE(map.needs_reclaim(sig));
-}
-
-TEST(ChurnBounded, ChainedArenaBoundedOverManyCycles) {
-  // The chained set's churn resource is the node arena, not the bucket
-  // array: reclaim must recycle tombstoned nodes fast enough that 128
-  // cycles × 64 inserts (8k nodes' worth of churn) never exhaust an arena
-  // sized for one cycle.
-  constexpr std::uint64_t kChurn = 64;
-  constexpr int kCycles = 128;
-  ChainedHashSet<> set(2 * kChurn, 1);
-  for (int c = 0; c < kCycles; ++c) {
-    const std::uint64_t base = static_cast<std::uint64_t>(c) * kChurn;
-    for (std::uint64_t i = 0; i < kChurn; ++i) {
-      ASSERT_EQ(set.insert(0, base + i), SetInsert::kInserted) << "cycle " << c;
-    }
-    ASSERT_EQ(set.size(), kChurn);
-    for (std::uint64_t i = 0; i < kChurn; ++i) ASSERT_TRUE(set.erase(base + i));
-    ASSERT_EQ(set.size(), 0u);
-    (void)set.maybe_reclaim();
-  }
-  // Recycling carried the load: fresh arena draw (high_water) stops once
-  // the watermark first fires, so all but one warmup-arena's worth of the
-  // 8k grants came from recycled tombstones.
-  SlotAllocator& alloc = set.allocator();
-  EXPECT_EQ(alloc.grants(), static_cast<std::uint64_t>(kCycles) * kChurn);
-  EXPECT_GE(alloc.recycled_grants(),
-            alloc.grants() - alloc.capacity_for(2 * kChurn));
 }
 
 }  // namespace

@@ -114,8 +114,9 @@ TEST(HashMap, RepeatedGrowsKeepEveryPair) {
   }
   EXPECT_EQ(map.size(), reference.size());
   for (const auto& [k, v] : reference) {
-    ASSERT_NE(map.find(k), nullptr) << "key " << k;
-    EXPECT_EQ(*map.find(k), v);
+    const std::uint64_t* found = map.find(k);
+    ASSERT_NE(found, nullptr) << "key " << k;
+    EXPECT_EQ(*found, v);
   }
 }
 
@@ -347,6 +348,27 @@ TEST(HashMap, TelemetrySkipsAtomicsForClosedRounds) {
     map.flush_round();
   }
   EXPECT_EQ(local.totals().wins, 1u);
+}
+
+TEST(HashMap, TelemetryCountsInsertFirstReviveAsAWin) {
+  obs::MetricsRegistry local;
+  {
+    const obs::ScopedRegistry scoped(local);
+    HashConfig cfg;
+    cfg.telemetry = true;
+    cfg.site_name = "unit-map-revive";
+    Map map(16, cfg);
+    ASSERT_EQ(map.insert_first(7, 1), SetInsert::kInserted);  // fresh claim: a win
+    ASSERT_EQ(map.erase(1, 7), MapUpsert::kWon);
+    ASSERT_EQ(map.insert_first(7, 2), SetInsert::kInserted);  // revive: a win too
+    const std::uint64_t* value = map.find(7);
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(*value, 2u);
+    map.flush_round();
+  }
+  const obs::ContentionTotals t = local.totals();
+  EXPECT_EQ(t.wins, 2u);
+  EXPECT_EQ(t.atomics, 3u);  // claim CAS, erase's tag CAS, revive's fetch_or
 }
 
 }  // namespace

@@ -124,103 +124,6 @@ TEST(SlotAllocator, ResetRoundAbandonsGrants) {
   EXPECT_EQ(slots.grant(0), 0u);  // fresh cursor
 }
 
-TEST(SlotAllocator, RecycledSlotsAreGrantedBeforeFreshOnes) {
-  SlotAllocator slots(1, /*chunk=*/4);
-  // Burn the first 6 arena slots, then recycle three of them.
-  for (int i = 0; i < 6; ++i) (void)slots.grant(0);
-  slots.stock_recycled({2, 0, 5});
-  EXPECT_EQ(slots.grant(0), 2u);
-  EXPECT_EQ(slots.grant(0), 0u);
-  EXPECT_EQ(slots.grant(0), 5u);
-  EXPECT_EQ(slots.recycled_grants(), 3u);
-  // Pool dry: grants fall back to the lane's remaining arena chunk.
-  EXPECT_EQ(slots.grant(0), 6u);
-  EXPECT_EQ(slots.grant(0), 7u);
-}
-
-TEST(SlotAllocator, DryPoolCostsOneProbePerGeneration) {
-  SlotAllocator slots(1, /*chunk=*/4);
-  slots.stock_recycled({0});
-  const std::uint64_t refills_before = slots.refills();
-  (void)slots.grant(0);  // claims the pool's only index (one pool RMW)
-  // The next grant probes the now-dry pool once, remembers the generation,
-  // and every further grant skips the pool entirely.
-  (void)slots.grant(0);
-  const std::uint64_t after_first_dry = slots.refills();
-  for (int i = 0; i < 20; ++i) (void)slots.grant(0);
-  // Only arena-chunk refills accrue after the dry probe.
-  EXPECT_LE(slots.refills() - after_first_dry, (20u / 4) + 1);
-  EXPECT_GE(slots.refills(), refills_before + 1);
-  // Restocking opens a new generation: the pool is probed again.
-  slots.stock_recycled({3});
-  EXPECT_EQ(slots.grant(0), 3u);
-}
-
-TEST(SlotAllocator, DrainRecycledReturnsUngrantedIndices) {
-  SlotAllocator slots(2, /*chunk=*/2);
-  slots.stock_recycled({10, 11, 12, 13, 14});
-  EXPECT_EQ(slots.grant(0), 10u);  // lane 0 stashes [10, 12)
-  std::vector<std::uint64_t> left = slots.drain_recycled();
-  std::sort(left.begin(), left.end());
-  EXPECT_EQ(left, (std::vector<std::uint64_t>{11, 12, 13, 14}));
-  // Drained pool is empty; the next stock folds nothing stale in.
-  slots.stock_recycled({20});
-  EXPECT_EQ(slots.grant(1), 20u);
-}
-
-TEST(SlotAllocator, StockFoldsUndrainedRemainderIntoNewPool) {
-  SlotAllocator slots(1, /*chunk=*/8);
-  slots.stock_recycled({1, 2, 3});
-  EXPECT_EQ(slots.grant(0), 1u);  // 2 and 3 still stashed
-  slots.stock_recycled({4});
-  // The unconsumed {2, 3} survived the restock; all three grant eventually.
-  std::vector<std::uint64_t> got = {slots.grant(0), slots.grant(0), slots.grant(0)};
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, (std::vector<std::uint64_t>{2, 3, 4}));
-  EXPECT_EQ(slots.recycled_grants(), 4u);
-}
-
-TEST(SlotAllocatorTorture, ConcurrentGrantsNeverDuplicateRecycledSlots) {
-  // Lanes race the recycled pool's shared cursor: every recycled index must
-  // be granted at most once per generation, and fresh arena grants must
-  // never collide with recycled ones.
-  constexpr int kThreads = 4;
-  constexpr int kGenerations = 20;
-  SlotAllocator slots(kThreads, /*chunk=*/8);
-  // Pre-burn 256 arena slots to recycle from.
-  for (int i = 0; i < 256; ++i) (void)slots.grant(i % kThreads);
-
-  for (int gen = 0; gen < kGenerations; ++gen) {
-    std::vector<std::uint64_t> pool(64);
-    for (std::uint64_t i = 0; i < 64; ++i) pool[i] = i;  // indices 0..63
-    slots.stock_recycled(std::move(pool));
-
-    std::vector<std::vector<std::uint64_t>> per_lane(kThreads);
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        for (int i = 0; i < 40; ++i) {
-          per_lane[static_cast<std::size_t>(t)].push_back(slots.grant(t));
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-
-    std::vector<std::uint64_t> all;
-    for (const auto& v : per_lane) all.insert(all.end(), v.begin(), v.end());
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(kThreads) * 40);
-    std::sort(all.begin(), all.end());
-    ASSERT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
-        << "slot granted twice in generation " << gen;
-    // Exactly the 64 recycled indices appear below the arena high-water
-    // region claimed before this generation.
-    const std::uint64_t recycled_seen = static_cast<std::uint64_t>(
-        std::count_if(all.begin(), all.end(), [](std::uint64_t s) { return s < 64; }));
-    ASSERT_EQ(recycled_seen, 64u) << "recycled index lost in generation " << gen;
-  }
-}
-
 // The torture the allocator exists for: T threads grant concurrently
 // (std::barrier between rounds), each stamps its slots with globally
 // unique values, and the compacted prefix must be exactly the granted set
