@@ -69,7 +69,7 @@ void irregular_step(benchmark::State& state, Schedule schedule) {
 }
 
 /// Dynamic chunk-size row: the figure benches hand skewed frontier loops
-/// to schedule(dynamic, util::frontier_chunk()) — util/chunking.hpp holds
+/// to schedule(dynamic, util::kFrontierChunk) — util/chunking.hpp holds
 /// the chosen constants and their rationale. This sweep is the evidence:
 /// too-small chunks pay a work-stealing RMW per handful of vertices,
 /// too-large chunks strand a hub's neighbours on one thread.

@@ -52,7 +52,6 @@ void edge_sweep(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK_CAPTURE(fig10, gatekeeper, "gatekeeper")->Apply(edge_sweep);
-BENCHMARK_CAPTURE(fig10, gatekeeper_sparse, "gatekeeper-sparse")->Apply(edge_sweep);
 BENCHMARK_CAPTURE(fig10, gatekeeper_skip, "gatekeeper-skip")->Apply(edge_sweep);
 BENCHMARK_CAPTURE(fig10, caslt, "caslt")->Apply(edge_sweep);
 

@@ -49,7 +49,6 @@ void vertex_sweep(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK_CAPTURE(fig11, gatekeeper, "gatekeeper")->Apply(vertex_sweep);
-BENCHMARK_CAPTURE(fig11, gatekeeper_sparse, "gatekeeper-sparse")->Apply(vertex_sweep);
 BENCHMARK_CAPTURE(fig11, gatekeeper_skip, "gatekeeper-skip")->Apply(vertex_sweep);
 BENCHMARK_CAPTURE(fig11, caslt, "caslt")->Apply(vertex_sweep);
 

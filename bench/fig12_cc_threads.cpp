@@ -39,7 +39,6 @@ void fig12(benchmark::State& state, const std::string& method) {
 }
 
 BENCHMARK_CAPTURE(fig12, gatekeeper, "gatekeeper")->Apply(crcw::bench::thread_sweep);
-BENCHMARK_CAPTURE(fig12, gatekeeper_sparse, "gatekeeper-sparse")->Apply(crcw::bench::thread_sweep);
 BENCHMARK_CAPTURE(fig12, gatekeeper_skip, "gatekeeper-skip")->Apply(crcw::bench::thread_sweep);
 BENCHMARK_CAPTURE(fig12, caslt, "caslt")->Apply(crcw::bench::thread_sweep);
 

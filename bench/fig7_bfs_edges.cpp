@@ -48,13 +48,11 @@ void edge_sweep(benchmark::internal::Benchmark* b) {
 
 BENCHMARK_CAPTURE(fig7, naive, "naive")->Apply(edge_sweep);
 BENCHMARK_CAPTURE(fig7, gatekeeper, "gatekeeper")->Apply(edge_sweep);
-BENCHMARK_CAPTURE(fig7, gatekeeper_sparse, "gatekeeper-sparse")->Apply(edge_sweep);
 BENCHMARK_CAPTURE(fig7, gatekeeper_skip, "gatekeeper-skip")->Apply(edge_sweep);
 BENCHMARK_CAPTURE(fig7, caslt, "caslt")->Apply(edge_sweep);
-// Beyond the paper's comparison: the frontier-queue CAS-LT variants, with
-// chunked per-thread slot grants (core/slot_alloc.hpp) vs one shared
-// fetch_add per discovery — their profiles carry the "frontier-slots" site.
+// Beyond the paper's comparison: the frontier-queue CAS-LT variant, with
+// chunked per-thread slot grants (core/slot_alloc.hpp) — its profile
+// carries the "frontier-slots" site.
 BENCHMARK_CAPTURE(fig7, frontier, "frontier")->Apply(edge_sweep);
-BENCHMARK_CAPTURE(fig7, frontier_shared, "frontier-shared")->Apply(edge_sweep);
 
 }  // namespace

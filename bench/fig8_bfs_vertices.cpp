@@ -49,13 +49,10 @@ void vertex_sweep(benchmark::internal::Benchmark* b) {
 
 BENCHMARK_CAPTURE(fig8, naive, "naive")->Apply(vertex_sweep);
 BENCHMARK_CAPTURE(fig8, gatekeeper, "gatekeeper")->Apply(vertex_sweep);
-BENCHMARK_CAPTURE(fig8, gatekeeper_sparse, "gatekeeper-sparse")->Apply(vertex_sweep);
 BENCHMARK_CAPTURE(fig8, gatekeeper_skip, "gatekeeper-skip")->Apply(vertex_sweep);
 BENCHMARK_CAPTURE(fig8, caslt, "caslt")->Apply(vertex_sweep);
-// Growing V at fixed E is exactly where the sparse reset should pull away
-// from the full sweep (reset work is O(frontier), not O(V)); the frontier
-// pair rides along for the slot-allocation comparison.
+// Beyond the paper's comparison: the frontier-queue CAS-LT variant, whose
+// profile carries the "frontier-slots" site.
 BENCHMARK_CAPTURE(fig8, frontier, "frontier")->Apply(vertex_sweep);
-BENCHMARK_CAPTURE(fig8, frontier_shared, "frontier-shared")->Apply(vertex_sweep);
 
 }  // namespace

@@ -40,10 +40,8 @@ void fig9(benchmark::State& state, const std::string& method) {
 
 BENCHMARK_CAPTURE(fig9, naive, "naive")->Apply(crcw::bench::thread_sweep);
 BENCHMARK_CAPTURE(fig9, gatekeeper, "gatekeeper")->Apply(crcw::bench::thread_sweep);
-BENCHMARK_CAPTURE(fig9, gatekeeper_sparse, "gatekeeper-sparse")->Apply(crcw::bench::thread_sweep);
 BENCHMARK_CAPTURE(fig9, gatekeeper_skip, "gatekeeper-skip")->Apply(crcw::bench::thread_sweep);
 BENCHMARK_CAPTURE(fig9, caslt, "caslt")->Apply(crcw::bench::thread_sweep);
 BENCHMARK_CAPTURE(fig9, frontier, "frontier")->Apply(crcw::bench::thread_sweep);
-BENCHMARK_CAPTURE(fig9, frontier_shared, "frontier-shared")->Apply(crcw::bench::thread_sweep);
 
 }  // namespace

@@ -1,18 +1,16 @@
 // Microbenchmark M3: the gatekeeper per-round re-initialisation in
-// isolation — the §6 cost-table row this repo's sparse reset attacks.
+// isolation — the §6 cost-table row CAS-LT does not pay.
 //
 // The paper charges the gatekeeper scheme Θ(N) work per round for the tag
-// sweep regardless of how many cells were actually written. On
-// frontier-shaped rounds (W writes, W << N) the touched-list sparse reset
-// does O(W) work instead. Each iteration runs kRoundsPerIter rounds of an
-// UNTIMED touch phase (W distinct strided winners — the exact dirty-tag
-// set) followed by a TIMED reset, so the row measures the reset alone:
+// sweep regardless of how many cells were actually written. Each
+// iteration runs kRoundsPerIter rounds of an UNTIMED touch phase (W
+// distinct strided winners — the exact dirty-tag set) followed by a TIMED
+// reset, so the row measures the reset alone:
 //
 //   micro_reset/full    reset_tags_parallel — paper-faithful Θ(N) sweep
-//   micro_reset/sparse  reset_tags_sparse   — touched lists, O(W)
 //
 // The profile pass pins the asymptotics to a counter: reset_tags is
-// rounds·N for full vs rounds·W for sparse (see docs/reproducing.md).
+// rounds·N whatever W is (see docs/reproducing.md).
 #include <omp.h>
 
 #include <cstddef>
@@ -25,10 +23,8 @@
 
 namespace {
 
-using crcw::ArbiterConfig;
 using crcw::GatekeeperPolicy;
 using crcw::ResetMode;
-using crcw::TouchTracking;
 using crcw::WriteArbiter;
 
 using IGate = crcw::InstrumentedPolicy<GatekeeperPolicy>;
@@ -38,7 +34,7 @@ constexpr int kRoundsPerIter = 4;
 
 /// Untimed dirtying phase: W distinct winners evenly strided across the
 /// tag array. Every acquire wins (targets are distinct), so exactly W tags
-/// are dirty — and, when tracking is on, exactly W touched-list entries.
+/// are dirty.
 template <typename Arbiter>
 void touch(Arbiter& arbiter, std::uint64_t writes, int threads) {
   auto scope = arbiter.next_round(ResetMode::kNone);
@@ -48,15 +44,6 @@ void touch(Arbiter& arbiter, std::uint64_t writes, int threads) {
   for (std::int64_t w = 0; w < w_count; ++w) {
     (void)scope.acquire(static_cast<std::size_t>(w) * stride);
   }
-}
-
-ArbiterConfig sparse_config(int threads) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = threads;
-  cfg.first_touch = crcw::util::FirstTouch::kParallel;
-  cfg.first_touch_threads = threads;
-  return cfg;
 }
 
 crcw::bench::RowSpec spec(const char* variant, int threads, std::uint64_t writes) {
@@ -82,7 +69,7 @@ void bench_reset_full(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const auto writes = static_cast<std::uint64_t>(state.range(1));
   crcw::bench::RowRecorder rec(state, spec("full", threads, writes));
-  WriteArbiter<GatekeeperPolicy> arbiter(kTags);  // paper baseline: no tracking
+  WriteArbiter<GatekeeperPolicy> arbiter(kTags);
   for (auto _ : state) {
     double secs = 0.0;
     for (int r = 0; r < kRoundsPerIter; ++r) {
@@ -106,37 +93,9 @@ void bench_reset_full(benchmark::State& state) {
   });
 }
 
-void bench_reset_sparse(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto writes = static_cast<std::uint64_t>(state.range(1));
-  crcw::bench::RowRecorder rec(state, spec("sparse", threads, writes));
-  WriteArbiter<GatekeeperPolicy> arbiter(kTags, sparse_config(threads));
-  for (auto _ : state) {
-    double secs = 0.0;
-    for (int r = 0; r < kRoundsPerIter; ++r) {
-      touch(arbiter, writes, threads);
-      crcw::util::Timer timer;
-      arbiter.reset_tags_sparse(threads);
-      secs += timer.seconds();
-    }
-    rec.record(secs);
-  }
-  state.counters["rounds"] = kRoundsPerIter;
-  rec.profile([&] {
-    return profiled([&] {
-      WriteArbiter<IGate> instrumented(kTags, sparse_config(threads));
-      for (int r = 0; r < kRoundsPerIter; ++r) {
-        touch(instrumented, writes, threads);
-        instrumented.flush_round_metrics();
-        instrumented.reset_tags_sparse(threads);  // reset_tags += writes
-      }
-    });
-  });
-}
-
 void reset_args(benchmark::internal::Benchmark* b) {
-  // W << N throughout: the frontier-shaped regime where the sparse reset
-  // pays off. Smoke keeps (threads {1,2}) x (W = 1024).
+  // W << N throughout: the frontier-shaped regime, where the sweep's Θ(N)
+  // work is all overhead. Smoke keeps (threads {1,2}) x (W = 1024).
   const auto threads = crcw::bench::sweep_points<std::int64_t>({1, 2, 4, 8}, 2);
   const auto writes = crcw::bench::sweep_points<std::int64_t>({1 << 10, 1 << 14}, 1);
   for (const auto w : writes) {
@@ -146,6 +105,5 @@ void reset_args(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(bench_reset_full)->Apply(reset_args);
-BENCHMARK(bench_reset_sparse)->Apply(reset_args);
 
 }  // namespace

@@ -9,9 +9,9 @@
 # --quick with 3 reps, so one full pass stays in CI-minutes territory while
 # still emitting a schema-valid BENCH_<name>.json per binary for
 # scripts/bench_compare.py. New bench binaries are picked up by the glob
-# below automatically — micro_reset (sparse vs full gatekeeper reset, with
-# the refills/reset_tags counters) rides in this pass and the nightly
-# bench-smoke workflow without further registration.
+# below automatically — micro_reset (the full gatekeeper reset sweep, with
+# its reset_tags counter) rides in this pass and the nightly bench-smoke
+# workflow without further registration.
 #
 # To refresh the committed baseline after an intentional perf change (or
 # on new reference hardware):

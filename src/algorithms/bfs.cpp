@@ -45,19 +45,18 @@ inline void store_level(std::int64_t& cell, std::int64_t v) noexcept {
 }
 
 /// Folds a run's slot-allocation tallies into a ContentionSite so profile
-/// passes see them (attempts = slots handed out, atomics = shared-cursor
-/// RMWs). The site is scoped to the call: it detaches immediately and the
-/// current MetricsRegistry retains its totals.
-void report_slot_counts(std::uint64_t grants, std::uint64_t shared_rmws,
-                        std::uint64_t refills) {
+/// passes see them (attempts = slots handed out, atomics = refills = the
+/// shared-cursor RMWs). The site is scoped to the call: it detaches
+/// immediately and the current MetricsRegistry retains its totals.
+void report_slot_counts(const SlotAllocator& slots) {
   obs::ContentionSite site("frontier-slots");
-  site.add_attempts(grants);
-  site.add_atomics(shared_rmws);
+  site.add_attempts(slots.grants());
+  site.add_atomics(slots.refills());
   // Every slot-cursor fetch_add succeeds, so wins == atomics and the
   // derived failures stays 0 — grants beyond the shared RMWs are the
   // chunking's saving, carried by attempts vs atomics, not by failures.
-  site.add_wins(shared_rmws);
-  site.add_refills(refills);
+  site.add_wins(slots.refills());
+  site.add_refills(slots.refills());
 }
 
 }  // namespace
@@ -77,8 +76,6 @@ BfsResult bfs_kernel(const Csr& g, vertex_t source, const BfsOptions& opts) {
 
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
   ArbiterConfig cfg;
-  cfg.tracking = opts.sparse_reset ? TouchTracking::kEnabled : TouchTracking::kDisabled;
-  cfg.lanes = threads;
   // Tag pages land with the threads that sweep and acquire them.
   cfg.first_touch = util::FirstTouch::kParallel;
   cfg.first_touch_threads = threads;
@@ -91,14 +88,8 @@ BfsResult bfs_kernel(const Csr& g, vertex_t source, const BfsOptions& opts) {
     std::uint8_t frontier_empty = 1;
     // Fig 3(b) lines 34-35: re-zero the whole gatekeeper array — the
     // Θ(N)-work-per-level overhead CAS-LT avoids (no-op for policies
-    // without per-round reset). The sparse variant sweeps only last
-    // level's touched tags instead — O(#discoveries), the §6 cost term
-    // this option exists to attack.
-    if (opts.sparse_reset) {
-      arbiter.reset_tags_sparse(threads);
-    } else {
-      arbiter.reset_tags_parallel(threads);
-    }
+    // without per-round reset).
+    arbiter.reset_tags_parallel(threads);
     // Round id L+1 (Fig 3(a) line 22): monotone across levels, so CAS-LT
     // tags never need re-initialisation.
     auto scope = arbiter.next_round(ResetMode::kCaller);
@@ -194,8 +185,7 @@ BfsResult bfs_naive(const Csr& g, vertex_t source, const BfsOptions& opts) {
 namespace detail {
 
 template <WritePolicy Policy>
-BfsResult bfs_frontier_kernel(const Csr& g, vertex_t source, const BfsOptions& opts,
-                              SlotMode slot_mode) {
+BfsResult bfs_frontier_kernel(const Csr& g, vertex_t source, const BfsOptions& opts) {
   const std::uint64_t n = g.num_vertices();
   BfsResult result = make_result(n, source);
 
@@ -207,20 +197,17 @@ BfsResult bfs_frontier_kernel(const Csr& g, vertex_t source, const BfsOptions& o
 
   WriteArbiter<Policy> arbiter(n);
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  const int chunk = util::frontier_chunk();
 
   // Double-buffered frontier/next, each sized ONCE: a frontier holds at
   // most n vertices, plus the chunked grants' per-lane slack (holes that
   // compact() squeezes out again). Levels exchange the buffers with
   // std::swap — no O(frontier) copy per level.
   SlotAllocator slots(threads);
-  const std::size_t cap = static_cast<std::size_t>(
-      slot_mode == SlotMode::kChunked ? slots.capacity_for(n) : n);
+  const auto cap = static_cast<std::size_t>(slots.capacity_for(n));
   std::vector<vertex_t> frontier(cap);
   std::vector<vertex_t> next(cap);
   frontier[0] = source;
   std::uint64_t fsize = 1;
-  std::uint64_t shared_rmws = 0;  // slot RMWs under SlotMode::kShared
   std::int64_t l = 0;
 
   while (fsize > 0) {
@@ -228,80 +215,45 @@ BfsResult bfs_frontier_kernel(const Csr& g, vertex_t source, const BfsOptions& o
     const auto fcount = static_cast<std::int64_t>(fsize);
     auto* next_data = next.data();
 
-    if (slot_mode == SlotMode::kChunked) {
-      // Frontier vertices own very different degrees; dynamic chunks keep
-      // threads busy on skewed graphs (util/chunking.hpp).
-#pragma omp parallel for num_threads(threads) schedule(dynamic, chunk)
-      for (std::int64_t fi = 0; fi < fcount; ++fi) {
-        const vertex_t v = frontier[static_cast<std::size_t>(fi)];
-        const int lane = omp_get_thread_num();
-        for (edge_t j = offsets[v]; j < offsets[v + 1]; ++j) {
-          const vertex_t u = targets[j];
-          if (load_level(level[u]) != -1) continue;
-          if (scope.acquire(u)) {
-            parent[u] = v;
-            sel_edge[u] = j;
-            store_level(level[u], l + 1);
-            // Slot-allocating CW through the lane's private cursor: one
-            // shared fetch_add per chunk of discoveries, not per discovery.
-            next_data[slots.grant(lane)] = u;
-          }
+    // Frontier vertices own very different degrees; dynamic chunks keep
+    // threads busy on skewed graphs (util/chunking.hpp).
+#pragma omp parallel for num_threads(threads) schedule(dynamic, util::kFrontierChunk)
+    for (std::int64_t fi = 0; fi < fcount; ++fi) {
+      const vertex_t v = frontier[static_cast<std::size_t>(fi)];
+      const int lane = omp_get_thread_num();
+      for (edge_t j = offsets[v]; j < offsets[v + 1]; ++j) {
+        const vertex_t u = targets[j];
+        if (load_level(level[u]) != -1) continue;
+        if (scope.acquire(u)) {
+          parent[u] = v;
+          sel_edge[u] = j;
+          store_level(level[u], l + 1);
+          // Slot-allocating CW through the lane's private cursor: one
+          // shared fetch_add per chunk of discoveries, not per discovery.
+          next_data[slots.grant(lane)] = u;
         }
       }
-      fsize = slots.compact(next_data);
-    } else {
-      std::atomic<std::uint64_t> tail{0};
-#pragma omp parallel for num_threads(threads) schedule(dynamic, chunk)
-      for (std::int64_t fi = 0; fi < fcount; ++fi) {
-        const vertex_t v = frontier[static_cast<std::size_t>(fi)];
-        for (edge_t j = offsets[v]; j < offsets[v + 1]; ++j) {
-          const vertex_t u = targets[j];
-          if (load_level(level[u]) != -1) continue;
-          if (scope.acquire(u)) {
-            parent[u] = v;
-            sel_edge[u] = j;
-            store_level(level[u], l + 1);
-            // The baseline: fetch_add allocates a unique slot — every
-            // discoverer RMWs the one shared tail.
-            next_data[tail.fetch_add(1, std::memory_order_relaxed)] = u;
-          }
-        }
-      }
-      fsize = tail.load();
-      shared_rmws += fsize;
     }
+    fsize = slots.compact(next_data);
 
     std::swap(frontier, next);
     ++l;
   }
 
-  if constexpr (InstrumentedWritePolicy<Policy>) {
-    if (slot_mode == SlotMode::kChunked) {
-      report_slot_counts(slots.grants(), slots.refills(), slots.refills());
-    } else {
-      report_slot_counts(shared_rmws, shared_rmws, 0);
-    }
-  }
+  if constexpr (InstrumentedWritePolicy<Policy>) report_slot_counts(slots);
 
   result.rounds = static_cast<std::uint64_t>(l);
   return result;
 }
 
-template BfsResult bfs_frontier_kernel<CasLtPolicy>(const Csr&, vertex_t,
-                                                    const BfsOptions&, SlotMode);
-template BfsResult bfs_frontier_kernel<InstrumentedPolicy<CasLtPolicy>>(
-    const Csr&, vertex_t, const BfsOptions&, SlotMode);
+template BfsResult bfs_frontier_kernel<CasLtPolicy>(const Csr&, vertex_t, const BfsOptions&);
+template BfsResult bfs_frontier_kernel<InstrumentedPolicy<CasLtPolicy>>(const Csr&, vertex_t,
+                                                                        const BfsOptions&);
 
 }  // namespace detail
 
 BfsResult bfs_frontier(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  return detail::bfs_frontier_kernel<CasLtPolicy>(g, source, opts,
-                                                  detail::SlotMode::kChunked);
-}
-
-BfsResult bfs_frontier_shared(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  return detail::bfs_frontier_kernel<CasLtPolicy>(g, source, opts,
-                                                  detail::SlotMode::kShared);
+  return detail::bfs_frontier_kernel<CasLtPolicy>(g, source, opts);
 }
 
 BfsResult bfs_direction_optimizing(const Csr& g, vertex_t source, const BfsOptions& opts) {
@@ -316,7 +268,6 @@ BfsResult bfs_direction_optimizing(const Csr& g, vertex_t source, const BfsOptio
 
   WriteArbiter<CasLtPolicy> arbiter(n);
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  const int bu_chunk = util::bottom_up_chunk();
   const auto count = static_cast<std::int64_t>(n);
 
   // Switch to bottom-up when the frontier's edge volume exceeds this
@@ -354,7 +305,7 @@ BfsResult bfs_direction_optimizing(const Csr& g, vertex_t source, const BfsOptio
       // Bottom-up: each unvisited vertex claims ITSELF on finding a
       // frontier neighbour. parent/sel_edge/level[u] are written by u's
       // own processor only — exclusive writes, zero CW arbitration.
-#pragma omp parallel for num_threads(threads) schedule(dynamic, bu_chunk) \
+#pragma omp parallel for num_threads(threads) schedule(dynamic, util::kBottomUpChunk) \
     reduction(&& : frontier_empty) reduction(+ : next_edges)
       for (std::int64_t ui = 0; ui < count; ++ui) {
         const auto u = static_cast<vertex_t>(ui);
@@ -388,12 +339,6 @@ BfsResult bfs_direction_optimizing(const Csr& g, vertex_t source, const BfsOptio
 
 BfsResult bfs_gatekeeper(const Csr& g, vertex_t source, const BfsOptions& opts) {
   return detail::bfs_kernel<GatekeeperPolicy>(g, source, opts);
-}
-
-BfsResult bfs_gatekeeper_sparse(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  BfsOptions sparse = opts;
-  sparse.sparse_reset = true;
-  return detail::bfs_kernel<GatekeeperPolicy>(g, source, sparse);
 }
 
 BfsResult bfs_gatekeeper_skip(const Csr& g, vertex_t source, const BfsOptions& opts) {

@@ -32,10 +32,6 @@ namespace crcw::algo {
 
 struct BfsOptions {
   int threads = 0;  ///< OpenMP threads; 0 = ambient setting
-  /// Gatekeeper-family only: reset per-level tags from the touched lists
-  /// (O(#discoveries-last-level)) instead of the paper-faithful Θ(N)
-  /// sweep. No effect on reset-free policies (CAS-LT).
-  bool sparse_reset = false;
 };
 
 struct BfsResult {
@@ -49,15 +45,9 @@ namespace detail {
 template <WritePolicy Policy>
 BfsResult bfs_kernel(const graph::Csr& g, graph::vertex_t source, const BfsOptions& opts);
 
-/// How bfs_frontier_kernel allocates next-frontier slots: per-thread
-/// chunked grants through a SlotAllocator (one shared RMW per chunk), or
-/// the original per-discovery shared fetch_add (kept as the baseline the
-/// contention counters are compared against).
-enum class SlotMode { kChunked, kShared };
-
 template <WritePolicy Policy>
 BfsResult bfs_frontier_kernel(const graph::Csr& g, graph::vertex_t source,
-                              const BfsOptions& opts, SlotMode slot_mode);
+                              const BfsOptions& opts);
 }
 
 /// Frontier-queue BFS (the other Rodinia formulation): instead of scanning
@@ -72,12 +62,6 @@ BfsResult bfs_frontier_kernel(const graph::Csr& g, graph::vertex_t source,
 /// copy per level.
 [[nodiscard]] BfsResult bfs_frontier(const graph::Csr& g, graph::vertex_t source,
                                      const BfsOptions& opts = {});
-
-/// bfs_frontier with the original per-discovery shared `tail.fetch_add`
-/// slot allocation — the contention baseline the SlotAllocator variant is
-/// profiled against (see profile_bfs "frontier" vs "frontier-shared").
-[[nodiscard]] BfsResult bfs_frontier_shared(const graph::Csr& g, graph::vertex_t source,
-                                            const BfsOptions& opts = {});
 
 /// Direction-optimizing BFS (Beamer-style): dense frontiers switch to
 /// BOTTOM-UP steps, where each *unvisited* vertex scans its own adjacency
@@ -95,10 +79,6 @@ BfsResult bfs_frontier_kernel(const graph::Csr& g, graph::vertex_t source,
                                   const BfsOptions& opts = {});
 [[nodiscard]] BfsResult bfs_gatekeeper(const graph::Csr& g, graph::vertex_t source,
                                        const BfsOptions& opts = {});
-/// Gatekeeper with sparse per-level reset (opts.sparse_reset forced on):
-/// the new ablation axis against the Θ(N)-sweep bfs_gatekeeper baseline.
-[[nodiscard]] BfsResult bfs_gatekeeper_sparse(const graph::Csr& g, graph::vertex_t source,
-                                              const BfsOptions& opts = {});
 [[nodiscard]] BfsResult bfs_gatekeeper_skip(const graph::Csr& g, graph::vertex_t source,
                                             const BfsOptions& opts = {});
 [[nodiscard]] BfsResult bfs_caslt(const graph::Csr& g, graph::vertex_t source,

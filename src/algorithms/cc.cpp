@@ -149,18 +149,9 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
   std::vector<std::uint8_t> star(n, 1);          // the identity forest is all stars
   std::vector<edge_t> hook_edge(n, kNoEdge);  // 2nd member of the multi-array hook
   ArbiterConfig cfg;
-  cfg.tracking = opts.sparse_reset ? TouchTracking::kEnabled : TouchTracking::kDisabled;
-  cfg.lanes = threads;
   cfg.first_touch = util::FirstTouch::kParallel;  // tag pages with the sweepers
   cfg.first_touch_threads = threads;
   WriteArbiter<Policy> arbiter(n, cfg);
-  const auto reset_tags = [&] {
-    if (opts.sparse_reset) {
-      arbiter.reset_tags_sparse(threads);
-    } else {
-      arbiter.reset_tags_parallel(threads);
-    }
-  };
 
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (std::int64_t v = 0; v < vcount; ++v) {
@@ -199,9 +190,8 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
     // --- 2. conditional star hooking (one arbitrary-CW round) --------------
     if (!identity) take_snapshot();
     // The gatekeeper re-initialisation sweep, once per hooking substep —
-    // the recurring Θ(N) cost CAS-LT does not pay (§6); sparse mode sweeps
-    // only the tags last substep's winning hooks touched.
-    reset_tags();
+    // the recurring Θ(N) cost CAS-LT does not pay (§6).
+    arbiter.reset_tags_parallel(threads);
     std::uint8_t conditional = 0;
     {
       auto scope = arbiter.next_round(ResetMode::kCaller);
@@ -253,7 +243,7 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
     //     neighbouring root (downward merges belong to the conditional
     //     phase by construction).
     take_snapshot();
-    reset_tags();
+    arbiter.reset_tags_parallel(threads);
     {
       auto scope = arbiter.next_round(ResetMode::kCaller);
       any_change |= sweep_edges(g, threads, [&](vertex_t u, edge_t first, edge_t last) {
@@ -336,12 +326,6 @@ template CcResult cc_kernel<InstrumentedPolicy<GatekeeperSkipPolicy>>(const Csr&
 
 CcResult cc_gatekeeper(const Csr& g, const CcOptions& opts) {
   return detail::cc_kernel<GatekeeperPolicy>(g, opts);
-}
-
-CcResult cc_gatekeeper_sparse(const Csr& g, const CcOptions& opts) {
-  CcOptions sparse = opts;
-  sparse.sparse_reset = true;
-  return detail::cc_kernel<GatekeeperPolicy>(g, sparse);
 }
 
 CcResult cc_gatekeeper_skip(const Csr& g, const CcOptions& opts) {

@@ -56,9 +56,6 @@ namespace crcw::algo {
 
 struct CcOptions {
   int threads = 0;  ///< OpenMP threads; 0 = ambient setting
-  /// Gatekeeper-family only: reset each hooking substep's tags from the
-  /// touched lists (O(#hooks-last-substep)) instead of the Θ(N) sweep.
-  bool sparse_reset = false;
 };
 
 struct CcResult {
@@ -84,9 +81,6 @@ CcResult cc_kernel(const graph::Csr& g, const CcOptions& opts);
 /// One entry point per CW method compared in Figures 10–12 (no naive
 /// variant exists — see above).
 [[nodiscard]] CcResult cc_gatekeeper(const graph::Csr& g, const CcOptions& opts = {});
-/// Gatekeeper with sparse substep resets (opts.sparse_reset forced on) —
-/// the ablation partner of cc_gatekeeper's paper-faithful Θ(N) sweeps.
-[[nodiscard]] CcResult cc_gatekeeper_sparse(const graph::Csr& g, const CcOptions& opts = {});
 [[nodiscard]] CcResult cc_gatekeeper_skip(const graph::Csr& g, const CcOptions& opts = {});
 [[nodiscard]] CcResult cc_caslt(const graph::Csr& g, const CcOptions& opts = {});
 [[nodiscard]] CcResult cc_critical(const graph::Csr& g, const CcOptions& opts = {});

@@ -34,13 +34,11 @@ std::vector<std::string> max_methods() {
 }
 
 std::vector<std::string> bfs_methods() {
-  return {"naive", "gatekeeper", "gatekeeper-sparse", "gatekeeper-skip", "caslt",
-          "critical"};
+  return {"naive", "gatekeeper", "gatekeeper-skip", "caslt", "critical"};
 }
 
 std::vector<std::string> cc_methods() {
-  return {"gatekeeper", "gatekeeper-sparse", "gatekeeper-skip", "caslt", "critical",
-          "min-hook"};
+  return {"gatekeeper", "gatekeeper-skip", "caslt", "critical", "min-hook"};
 }
 
 std::vector<std::string> dedup_methods() { return {"caslt", "sort"}; }
@@ -64,20 +62,17 @@ BfsResult run_bfs(std::string_view method, const graph::Csr& g, graph::vertex_t 
                   const BfsOptions& opts) {
   if (method == "naive") return bfs_naive(g, source, opts);
   if (method == "gatekeeper") return bfs_gatekeeper(g, source, opts);
-  if (method == "gatekeeper-sparse") return bfs_gatekeeper_sparse(g, source, opts);
   if (method == "gatekeeper-skip") return bfs_gatekeeper_skip(g, source, opts);
   if (method == "caslt") return bfs_caslt(g, source, opts);
   if (method == "critical") return bfs_critical(g, source, opts);
   // Structural variants beyond the paper's comparison (all CAS-LT based).
   if (method == "frontier") return bfs_frontier(g, source, opts);
-  if (method == "frontier-shared") return bfs_frontier_shared(g, source, opts);
   if (method == "direction-optimizing") return bfs_direction_optimizing(g, source, opts);
   unknown("bfs", method);
 }
 
 CcResult run_cc(std::string_view method, const graph::Csr& g, const CcOptions& opts) {
   if (method == "gatekeeper") return cc_gatekeeper(g, opts);
-  if (method == "gatekeeper-sparse") return cc_gatekeeper_sparse(g, opts);
   if (method == "gatekeeper-skip") return cc_gatekeeper_skip(g, opts);
   if (method == "caslt") return cc_caslt(g, opts);
   if (method == "critical") return cc_critical(g, opts);
@@ -133,28 +128,14 @@ std::optional<obs::ContentionTotals> profile_bfs(std::string_view method,
   if (method == "gatekeeper") {
     return profiled([&] { (void)detail::bfs_kernel<IGate>(g, source, opts); });
   }
-  if (method == "gatekeeper-sparse") {
-    BfsOptions sparse = opts;
-    sparse.sparse_reset = true;
-    return profiled([&] { (void)detail::bfs_kernel<IGate>(g, source, sparse); });
-  }
   if (method == "gatekeeper-skip") {
     return profiled([&] { (void)detail::bfs_kernel<IGateSkip>(g, source, opts); });
   }
-  // The frontier pair additionally reports its slot-allocation RMWs
+  // The frontier kernel additionally reports its slot-allocation RMWs
   // (a "frontier-slots" site: attempts = slots granted, atomics = shared
-  // fetch_adds — chunked grants shrink exactly that number).
+  // fetch_adds — one per chunk of grants).
   if (method == "frontier") {
-    return profiled([&] {
-      (void)detail::bfs_frontier_kernel<ICasLt>(g, source, opts,
-                                                detail::SlotMode::kChunked);
-    });
-  }
-  if (method == "frontier-shared") {
-    return profiled([&] {
-      (void)detail::bfs_frontier_kernel<ICasLt>(g, source, opts,
-                                                detail::SlotMode::kShared);
-    });
+    return profiled([&] { (void)detail::bfs_frontier_kernel<ICasLt>(g, source, opts); });
   }
   return std::nullopt;
 }
@@ -167,11 +148,6 @@ std::optional<obs::ContentionTotals> profile_cc(std::string_view method,
   }
   if (method == "gatekeeper") {
     return profiled([&] { (void)detail::cc_kernel<IGate>(g, opts); });
-  }
-  if (method == "gatekeeper-sparse") {
-    CcOptions sparse = opts;
-    sparse.sparse_reset = true;
-    return profiled([&] { (void)detail::cc_kernel<IGate>(g, sparse); });
   }
   if (method == "gatekeeper-skip") {
     return profiled([&] { (void)detail::cc_kernel<IGateSkip>(g, opts); });

@@ -51,10 +51,9 @@ namespace crcw::algo {
 /// counting itself costs RMWs, so never profile inside a timing loop.
 /// Returns nullopt for methods without an instrumentable arbiter ("naive",
 /// "critical", "reduce", "min-hook", "direction-optimizing"). The BFS
-/// "frontier"/"frontier-shared" pair is profiled — including a
-/// "frontier-slots" site whose atomics count the slot-allocation RMWs the
-/// chunked SlotAllocator exists to shrink; "gatekeeper-sparse" reports
-/// reset_tags = O(#writes) against "gatekeeper"'s Θ(N)·levels.
+/// "frontier" profile adds a "frontier-slots" site whose atomics count the
+/// slot-allocation RMWs (one per SlotAllocator refill); the gatekeepers
+/// report reset_tags = Θ(N) per round.
 [[nodiscard]] std::optional<obs::ContentionTotals> profile_max(
     std::string_view method, std::span<const std::uint32_t> list,
     const MaxOptions& opts = {});

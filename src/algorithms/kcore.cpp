@@ -37,7 +37,6 @@ KcoreResult kcore(const Csr& g, const KcoreOptions& opts) {
   // chunked grants (one shared RMW per chunk, core/slot_alloc.hpp); the
   // next buffer carries the grants' per-lane slack on top of n.
   SlotAllocator slots(threads);
-  const int chunk = util::frontier_chunk();
   std::vector<vertex_t> frontier;
   std::vector<vertex_t> next(static_cast<std::size_t>(slots.capacity_for(n)));
   frontier.reserve(n);
@@ -61,7 +60,7 @@ KcoreResult kcore(const Csr& g, const KcoreOptions& opts) {
       const auto fsize = static_cast<std::int64_t>(frontier.size());
       auto* next_data = next.data();
 
-#pragma omp parallel for num_threads(threads) schedule(dynamic, chunk)
+#pragma omp parallel for num_threads(threads) schedule(dynamic, util::kFrontierChunk)
       for (std::int64_t fi = 0; fi < fsize; ++fi) {
         const vertex_t v = frontier[static_cast<std::size_t>(fi)];
         const int lane = omp_get_thread_num();

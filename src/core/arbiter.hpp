@@ -27,7 +27,6 @@
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 #include "core/policies.hpp"
 #include "obs/metrics.hpp"
@@ -43,31 +42,15 @@ enum class TagLayout { kPacked, kPadded };
 /// Who runs the per-round tag re-initialisation when the policy needs one
 /// (Policy::kNeedsRoundReset):
 enum class ResetMode {
-  kPolicy,        ///< the arbiter sweeps serially before the round begins
-  kCaller,        ///< the caller sweeps (e.g. reset_tags_parallel work-shared
-                  ///< across the OpenMP team, as Fig 3(b) lines 34-35 do)
-  kNone,          ///< no sweep: tags are known-fresh or the policy never resets
-  kPolicySparse,  ///< the arbiter serially resets only the tags the touched
-                  ///< lists recorded — O(#writes-last-round), not Θ(N).
-                  ///< Requires TouchTracking::kEnabled (falls back to the
-                  ///< full serial sweep otherwise). No OpenMP involved, so
-                  ///< the raw-thread stress tier may use it.
+  kPolicy,  ///< the arbiter sweeps serially before the round begins
+  kCaller,  ///< the caller sweeps (e.g. reset_tags_parallel work-shared
+            ///< across the OpenMP team, as Fig 3(b) lines 34-35 do)
+  kNone,    ///< no sweep: tags are known-fresh or the policy never resets
 };
-
-/// Whether the arbiter records every winning acquire into a per-lane
-/// touched list, enabling the sparse reset paths. Off by default: the
-/// paper-faithful Θ(N) sweep stays the baseline, and CAS-LT never needs
-/// either (tracking is a no-op for policies without kNeedsRoundReset).
-enum class TouchTracking { kDisabled, kEnabled };
 
 /// Construction-time knobs for WriteArbiter (all default to the
 /// paper-faithful behaviour).
 struct ArbiterConfig {
-  TouchTracking tracking = TouchTracking::kDisabled;
-  /// Touched-list lanes; the hard contract is at most one thread per lane
-  /// at a time, so this must be >= the largest team that will acquire.
-  /// 0 = omp_get_max_threads().
-  int lanes = 0;
   /// Page placement of the tag array (util::FirstTouch::kParallel faults
   /// pages in under the same static schedule the reset sweep uses).
   util::FirstTouch first_touch = util::FirstTouch::kSerial;
@@ -110,10 +93,6 @@ class WriteArbiter {
     /// True iff the calling thread won this round's write to target i.
     bool acquire(std::size_t i) { return arbiter_.acquire_at(i, round_); }
 
-    /// Same, with an explicit touched-list lane (raw-thread callers; OpenMP
-    /// callers can rely on the omp_get_thread_num() default above).
-    bool acquire(std::size_t i, int lane) { return arbiter_.acquire_at(i, round_, lane); }
-
    private:
     friend class WriteArbiter;
     RoundScope(WriteArbiter& a, round_t r) noexcept : arbiter_(a), round_(r) {}
@@ -127,9 +106,7 @@ class WriteArbiter {
   explicit WriteArbiter(std::size_t targets) : tags_(targets) { init_site(); }
 
   WriteArbiter(std::size_t targets, const ArbiterConfig& cfg)
-      : tags_(targets, cfg.first_touch, cfg.first_touch_threads),
-        touch_lanes_(touch_lane_count(cfg)),
-        tracking_(Policy::kNeedsRoundReset && cfg.tracking == TouchTracking::kEnabled) {
+      : tags_(targets, cfg.first_touch, cfg.first_touch_threads) {
     init_site();
   }
 
@@ -147,9 +124,6 @@ class WriteArbiter {
       if (mode == ResetMode::kPolicy) {
         for (std::size_t i = 0; i < tags_.size(); ++i) Policy::reset(tag(i));
         count_reset_tags(tags_.size());
-        clear_touched();
-      } else if (mode == ResetMode::kPolicySparse) {
-        reset_tags_sparse_serial();
       }
     }
     return RoundScope(*this, round_);
@@ -159,37 +133,13 @@ class WriteArbiter {
   /// loop index as the round (paper §5: "round could be substituted by the
   /// loop iteration"). The caller owns monotonicity of `round` per target
   /// — and, for instrumented runs, calls flush_round_metrics() at its own
-  /// step boundaries. Every acquire path funnels through here; a win is
-  /// recorded in the caller's touched list when tracking is on (the winner
-  /// is the unique perturbation witness: a gatekeeper tag is dirty iff
-  /// some RMW hit it, and the first RMW is exactly the win).
+  /// step boundaries. Every acquire path funnels through here.
   bool acquire_at(std::size_t i, round_t round) {
-    bool won;
     if constexpr (kInstrumentedPolicy) {
-      won = Policy::try_acquire(tag(i), round, *site_);
+      return Policy::try_acquire(tag(i), round, *site_);
     } else {
-      won = Policy::try_acquire(tag(i), round);
+      return Policy::try_acquire(tag(i), round);
     }
-    if constexpr (Policy::kNeedsRoundReset) {
-      if (won && tracking_) record_touch(i, omp_get_thread_num());
-    }
-    return won;
-  }
-
-  /// Same, with an explicit touched-list lane. Raw-std::thread callers
-  /// (where omp_get_thread_num() is 0 for everyone) must use this; the
-  /// contract is at most one thread per lane at a time.
-  bool acquire_at(std::size_t i, round_t round, int lane) {
-    bool won;
-    if constexpr (kInstrumentedPolicy) {
-      won = Policy::try_acquire(tag(i), round, *site_);
-    } else {
-      won = Policy::try_acquire(tag(i), round);
-    }
-    if constexpr (Policy::kNeedsRoundReset) {
-      if (won && tracking_) record_touch(i, lane);
-    }
-    return won;
   }
 
   /// True iff the calling thread won the current-round write to target i.
@@ -208,47 +158,7 @@ class WriteArbiter {
         Policy::reset(tag(static_cast<std::size_t>(i)));
       }
       count_reset_tags(tags_.size());
-      clear_touched();  // everything is fresh; stale lists would only grow
     }
-  }
-
-  /// The sparse alternative to reset_tags_parallel: resets only the tags
-  /// recorded in the touched lists since the previous reset — O(#writes)
-  /// work instead of Θ(N) — work-shared over lanes across the OpenMP team.
-  /// Pair with next_round(ResetMode::kCaller). Requires the arbiter to
-  /// have been constructed with TouchTracking::kEnabled *and every acquire
-  /// since the last reset to have gone through a tracked path*; falls back
-  /// to the full parallel sweep when tracking is off. No-op for policies
-  /// without per-round reset. `threads <= 0` means the OpenMP default.
-  void reset_tags_sparse(int threads = 0) {
-    if constexpr (Policy::kNeedsRoundReset) {
-      if (!tracking_) {
-        reset_tags_parallel(threads);
-        return;
-      }
-      if (threads <= 0) threads = omp_get_max_threads();
-      const auto lanes = static_cast<std::ptrdiff_t>(touch_lanes_.size());
-      std::uint64_t total = 0;
-#pragma omp parallel for num_threads(threads) schedule(static) reduction(+ : total)
-      for (std::ptrdiff_t li = 0; li < lanes; ++li) {
-        auto& list = touch_lanes_[static_cast<std::size_t>(li)].touched;
-        for (const std::size_t i : list) Policy::reset(tag(i));
-        total += list.size();
-        list.clear();
-      }
-      count_reset_tags(total);
-    }
-  }
-
-  /// True when this arbiter records winning acquires for sparse resets.
-  [[nodiscard]] bool tracking() const noexcept { return tracking_; }
-
-  /// Entries currently held across the touched lists (test/debug probe;
-  /// serial or post-barrier only).
-  [[nodiscard]] std::uint64_t touched_count() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& lane : touch_lanes_) total += lane.touched.size();
-    return total;
   }
 
   /// Direct tag access for kernels that manage rounds themselves.
@@ -276,7 +186,6 @@ class WriteArbiter {
   void reset_all() {
     for (std::size_t i = 0; i < tags_.size(); ++i) Policy::reset(tag(i));
     round_ = kInitialRound;
-    clear_touched();
   }
 
   /// Folds the round's contention deltas into the per-round histograms.
@@ -299,52 +208,9 @@ class WriteArbiter {
   }
 
  private:
-  // One cache line per lane so concurrent push_backs never share a line.
-  // The vector's heap storage is lane-private too (only its owning thread
-  // appends; the reset sweeps read it post-barrier / serially).
-  struct alignas(util::kCacheLineSize) TouchLane {
-    std::vector<std::size_t> touched;
-  };
-
   void init_site() {
     if constexpr (kInstrumentedPolicy) {
       site_ = std::make_unique<obs::ContentionSite>(std::string(Policy::kName));
-    }
-  }
-
-  [[nodiscard]] static std::size_t touch_lane_count(const ArbiterConfig& cfg) {
-    if (!Policy::kNeedsRoundReset || cfg.tracking != TouchTracking::kEnabled) return 0;
-    const int lanes = cfg.lanes > 0 ? cfg.lanes : omp_get_max_threads();
-    return static_cast<std::size_t>(lanes > 0 ? lanes : 1);
-  }
-
-  void record_touch(std::size_t i, int lane) {
-    assert(lane >= 0 && static_cast<std::size_t>(lane) < touch_lanes_.size() &&
-           "acquire lane out of range: configure ArbiterConfig::lanes >= team size");
-    touch_lanes_[static_cast<std::size_t>(lane)].touched.push_back(i);
-  }
-
-  void clear_touched() noexcept {
-    for (auto& lane : touch_lanes_) lane.touched.clear();
-  }
-
-  /// Serial sparse sweep (ResetMode::kPolicySparse): no OpenMP, so the
-  /// raw-thread stress tier can drive it. Falls back to the full serial
-  /// sweep when tracking is off (tags could be stale otherwise).
-  void reset_tags_sparse_serial() {
-    if constexpr (Policy::kNeedsRoundReset) {
-      if (!tracking_) {
-        for (std::size_t i = 0; i < tags_.size(); ++i) Policy::reset(tag(i));
-        count_reset_tags(tags_.size());
-        return;
-      }
-      std::uint64_t total = 0;
-      for (auto& lane : touch_lanes_) {
-        for (const std::size_t i : lane.touched) Policy::reset(tag(i));
-        total += lane.touched.size();
-        lane.touched.clear();
-      }
-      count_reset_tags(total);
     }
   }
 
@@ -355,9 +221,7 @@ class WriteArbiter {
   }
 
   util::AlignedBuffer<Stored> tags_;
-  util::AlignedBuffer<TouchLane> touch_lanes_;  ///< empty unless tracking
   round_t round_ = kInitialRound;
-  bool tracking_ = false;
   // Heap-owned so the arbiter stays movable (ContentionSite pins its
   // address in the registry); null for uninstrumented policies.
   std::unique_ptr<obs::ContentionSite> site_;

@@ -46,9 +46,8 @@ class ConWriteArray {
   explicit ConWriteArray(std::size_t n, T initial = T{})
       : values_(n, initial), arbiter_(n) {}
 
-  /// Perf-layer construction: ArbiterConfig selects touch tracking (for
-  /// begin_round_sparse) and first-touch placement; the payload array
-  /// follows the same placement as the tags.
+  /// Perf-layer construction: ArbiterConfig selects first-touch placement;
+  /// the payload array follows the same placement as the tags.
   ConWriteArray(std::size_t n, const ArbiterConfig& cfg, T initial = T{})
       : values_(n, initial, cfg.first_touch, cfg.first_touch_threads),
         arbiter_(n, cfg) {}
@@ -66,19 +65,6 @@ class ConWriteArray {
     if constexpr (Policy::kNeedsRoundReset) {
       auto scope = arbiter_.next_round(ResetMode::kCaller);
       arbiter_.reset_tags_parallel(threads);
-      return scope.round();
-    } else {
-      return arbiter_.next_round(ResetMode::kNone).round();
-    }
-  }
-
-  /// Same, but sweeps only last round's touched tags — O(#writes) instead
-  /// of Θ(N). Needs construction with TouchTracking::kEnabled (falls back
-  /// to the full sweep otherwise); no-op increment for reset-free policies.
-  round_t begin_round_sparse(int threads = 0) {
-    if constexpr (Policy::kNeedsRoundReset) {
-      auto scope = arbiter_.next_round(ResetMode::kCaller);
-      arbiter_.reset_tags_sparse(threads);
       return scope.round();
     } else {
       return arbiter_.next_round(ResetMode::kNone).round();

@@ -24,8 +24,16 @@ class Gatekeeper {
   Gatekeeper& operator=(const Gatekeeper&) = delete;
 
   /// Paper Figure 2: unconditional atomic post-increment; 0 observed = win.
-  bool try_acquire() noexcept {
+  /// `on_rmw` runs just before the fetch_add, so InstrumentedPolicy counts
+  /// the RMWs of this very acquire.
+  template <typename OnRmw>
+  bool try_acquire(OnRmw&& on_rmw) noexcept {
+    on_rmw();
     return count_.fetch_add(1, std::memory_order_acq_rel) == 0;
+  }
+
+  bool try_acquire() noexcept {
+    return try_acquire([] {});
   }
 
   /// Mitigated variant: skip the RMW once a winner is visible. Note the
@@ -38,9 +46,15 @@ class Gatekeeper {
   /// round's payload). With a relaxed load, that admission decision would
   /// carry no ordering and the straggler's subsequent payload write could
   /// race those reads on weakly-ordered targets.
-  bool try_acquire_skip() noexcept {
+  template <typename OnRmw>
+  bool try_acquire_skip(OnRmw&& on_rmw) noexcept {
     if (count_.load(std::memory_order_acquire) != 0) return false;
+    on_rmw();
     return count_.fetch_add(1, std::memory_order_acq_rel) == 0;
+  }
+
+  bool try_acquire_skip() noexcept {
+    return try_acquire_skip([] {});
   }
 
   /// Number of contenders that executed the RMW so far this round. Useful

@@ -7,7 +7,9 @@
 //                successful CAS per round plus failed races)
 //   wins         writes admitted
 //
-// Wrap any policy: WriteArbiter<InstrumentedPolicy<CasLtPolicy>>. Counters
+// Wrap a policy whose acquire takes an RMW callback (CasLtPolicy,
+// GatekeeperPolicy, GatekeeperSkipPolicy):
+// WriteArbiter<InstrumentedPolicy<CasLtPolicy>>. Counters
 // are INSTANCE-owned: each such arbiter constructs its own
 // obs::ContentionSite (named after the base policy) and registers it with
 // the current obs::MetricsRegistry — two instrumented arbiters in one
@@ -17,93 +19,19 @@
 // RMWs — per-thread-sharded ones, but RMWs nonetheless).
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 #include "core/policies.hpp"
 #include "obs/metrics.hpp"
 
 namespace crcw {
 
-namespace detail {
-
-/// Counting replica of each base tag. The replicas re-implement the base
-/// acquire logic so the atomic count reflects exactly what the method
-/// would issue (wrapping the base call would hide its internal RMWs).
-template <typename Base>
-struct InstrumentedTag;
-
-template <>
-struct InstrumentedTag<CasLtPolicy> {
-  std::atomic<round_t> last{kInitialRound};
-
-  bool try_acquire(round_t round, obs::ContentionSite& site) noexcept {
-    site.count_attempt();
-    round_t current = last.load(std::memory_order_relaxed);
-    if (current >= round) return false;  // the skip: NO atomic issued
-    site.count_atomic();
-    const bool won = last.compare_exchange_strong(current, round, std::memory_order_acq_rel,
-                                                  std::memory_order_relaxed);
-    if (won) site.count_win();
-    return won;
-  }
-
-  bool try_acquire_uncounted(round_t round) noexcept {
-    round_t current = last.load(std::memory_order_relaxed);
-    if (current >= round) return false;
-    return last.compare_exchange_strong(current, round, std::memory_order_acq_rel,
-                                        std::memory_order_relaxed);
-  }
-
-  void reset() noexcept { last.store(kInitialRound, std::memory_order_relaxed); }
-};
-
-template <>
-struct InstrumentedTag<GatekeeperPolicy> {
-  std::atomic<std::uint64_t> count{0};
-
-  bool try_acquire(round_t /*round*/, obs::ContentionSite& site) noexcept {
-    site.count_attempt();
-    site.count_atomic();  // EVERY contender RMWs
-    const bool won = count.fetch_add(1, std::memory_order_acq_rel) == 0;
-    if (won) site.count_win();
-    return won;
-  }
-
-  bool try_acquire_uncounted(round_t /*round*/) noexcept {
-    return count.fetch_add(1, std::memory_order_acq_rel) == 0;
-  }
-
-  void reset() noexcept { count.store(0, std::memory_order_relaxed); }
-};
-
-template <>
-struct InstrumentedTag<GatekeeperSkipPolicy> {
-  std::atomic<std::uint64_t> count{0};
-
-  bool try_acquire(round_t /*round*/, obs::ContentionSite& site) noexcept {
-    site.count_attempt();
-    if (count.load(std::memory_order_relaxed) != 0) return false;
-    site.count_atomic();
-    const bool won = count.fetch_add(1, std::memory_order_acq_rel) == 0;
-    if (won) site.count_win();
-    return won;
-  }
-
-  bool try_acquire_uncounted(round_t /*round*/) noexcept {
-    if (count.load(std::memory_order_relaxed) != 0) return false;
-    return count.fetch_add(1, std::memory_order_acq_rel) == 0;
-  }
-
-  void reset() noexcept { count.store(0, std::memory_order_relaxed); }
-};
-
-}  // namespace detail
-
 template <typename Base>
 struct InstrumentedPolicy {
-  using tag_type = detail::InstrumentedTag<Base>;
+  /// The base tag itself: counting runs through Base's own acquire, so the
+  /// counters count the RMWs of the code the figures time.
+  using tag_type = typename Base::tag_type;
   static constexpr bool kNeedsRoundReset = Base::kNeedsRoundReset;
   /// Marks the policy for WriteArbiter's InstrumentedWritePolicy detection:
   /// the arbiter owns a ContentionSite and calls the 3-argument overload.
@@ -112,23 +40,34 @@ struct InstrumentedPolicy {
   /// BENCH_*.json "policy" field line up.
   static constexpr std::string_view kName = Base::kName;
 
-  /// The counted path — what WriteArbiter::acquire_at routes through.
+  /// The counted path — what WriteArbiter::acquire_at routes through: one
+  /// attempt, one atomic per RMW the base acquire issues (none on its
+  /// skip), one win if it admitted the write.
   static bool try_acquire(tag_type& tag, round_t round, obs::ContentionSite& site) noexcept {
-    return tag.try_acquire(round, site);
+    site.count_attempt();
+    const bool won = Base::try_acquire(tag, round, [&site] { site.count_atomic(); });
+    if (won) site.count_win();
+    return won;
   }
 
   /// Uncounted fallback satisfying the WritePolicy concept, for raw-tag
-  /// users (ConWriteCell etc.) that carry no site. Same acquire semantics,
-  /// no telemetry.
+  /// users (ConWriteCell etc.) that carry no site.
   static bool try_acquire(tag_type& tag, round_t round) noexcept {
-    return tag.try_acquire_uncounted(round);
+    return Base::try_acquire(tag, round);
   }
 
-  static void reset(tag_type& tag) noexcept { tag.reset(); }
+  static void reset(tag_type& tag) noexcept { Base::reset(tag); }
 };
 
-static_assert(WritePolicy<InstrumentedPolicy<CasLtPolicy>>);
-static_assert(WritePolicy<InstrumentedPolicy<GatekeeperPolicy>>);
-static_assert(WritePolicy<InstrumentedPolicy<GatekeeperSkipPolicy>>);
+/// Each paper method has one acquire: an instrumented tag that differed
+/// from the base tag would be a counting replica free to drift from it.
+template <typename Base>
+inline constexpr bool kCountsThroughBaseTag =
+    WritePolicy<InstrumentedPolicy<Base>> &&
+    std::is_same_v<typename InstrumentedPolicy<Base>::tag_type, typename Base::tag_type>;
+
+static_assert(kCountsThroughBaseTag<CasLtPolicy>);
+static_assert(kCountsThroughBaseTag<GatekeeperPolicy>);
+static_assert(kCountsThroughBaseTag<GatekeeperSkipPolicy>);
 
 }  // namespace crcw

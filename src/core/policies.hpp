@@ -10,6 +10,12 @@
 //                                true ⇒ caller commits the write, exactly one
 //                                contender per (tag, round) gets true
 //                                (except NaivePolicy, which admits everyone)
+//   try_acquire(tag, round, on_rmw)
+//                                the same acquire, calling on_rmw() just
+//                                before each atomic RMW it issues (the
+//                                paper's methods only: CAS-LT and both
+//                                gatekeepers; InstrumentedPolicy counts
+//                                through it)
 //   static constexpr bool kNeedsRoundReset
 //                                tag must be reset before each new round
 //   static void reset(tag_type&) restore the tag to its pre-round state
@@ -42,6 +48,10 @@ struct CasLtPolicy {
 
   static bool try_acquire(tag_type& tag, round_t round) noexcept {
     return tag.try_acquire(round);
+  }
+  template <typename OnRmw>
+  static bool try_acquire(tag_type& tag, round_t round, OnRmw&& on_rmw) noexcept {
+    return tag.try_acquire(round, on_rmw);
   }
   static void reset(tag_type& tag) noexcept { tag.reset(); }
 };
@@ -80,6 +90,10 @@ struct GatekeeperPolicy {
   static bool try_acquire(tag_type& tag, round_t /*round*/) noexcept {
     return tag.try_acquire();
   }
+  template <typename OnRmw>
+  static bool try_acquire(tag_type& tag, round_t /*round*/, OnRmw&& on_rmw) noexcept {
+    return tag.try_acquire(on_rmw);
+  }
   static void reset(tag_type& tag) noexcept { tag.reset(); }
 };
 
@@ -91,6 +105,10 @@ struct GatekeeperSkipPolicy {
 
   static bool try_acquire(tag_type& tag, round_t /*round*/) noexcept {
     return tag.try_acquire_skip();
+  }
+  template <typename OnRmw>
+  static bool try_acquire(tag_type& tag, round_t /*round*/, OnRmw&& on_rmw) noexcept {
+    return tag.try_acquire_skip(on_rmw);
   }
   static void reset(tag_type& tag) noexcept { tag.reset(); }
 };

@@ -44,11 +44,19 @@ class RoundTag {
   /// from a per-step counter with a barrier between steps). Under that
   /// contract a failed CAS means another contender committed this same
   /// round, so a single attempt suffices and the operation is wait-free.
-  bool try_acquire(round_t round) noexcept {
+  /// `on_cas` runs just before the compare-exchange is issued, won or lost,
+  /// so InstrumentedPolicy counts the RMWs of this very acquire.
+  template <typename OnCas>
+  bool try_acquire(round_t round, OnCas&& on_cas) noexcept {
     round_t current = last_round_.load(std::memory_order_relaxed);
     if (current >= round) return false;
+    on_cas();
     return last_round_.compare_exchange_strong(current, round, std::memory_order_acq_rel,
                                                std::memory_order_relaxed);
+  }
+
+  bool try_acquire(round_t round) noexcept {
+    return try_acquire(round, [] {});
   }
 
   /// Robust variant: retries while the observed round is still older, so it

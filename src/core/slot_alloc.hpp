@@ -47,9 +47,8 @@ namespace crcw {
 class SlotAllocator {
  public:
   /// `lanes` = max concurrent threads (one padded cursor each); `chunk` =
-  /// slots granted per shared fetch_add (util::slot_chunk() by default,
-  /// overridable via CRCW_SLOT_CHUNK).
-  explicit SlotAllocator(int lanes, std::uint64_t chunk = util::slot_chunk())
+  /// slots granted per shared fetch_add (util::kSlotChunk by default).
+  explicit SlotAllocator(int lanes, std::uint64_t chunk = util::kSlotChunk)
       : lanes_(static_cast<std::size_t>(lanes > 0 ? lanes : 1)),
         chunk_(chunk > 0 ? chunk : 1) {}
 

@@ -256,7 +256,7 @@ class ConcurrentHashMap
   /// the sidecar byte in step with the liveness transition its own CAS
   /// observed — no second pass, no double counting. The pre-load skip of
   /// a closed round issues no RMW, so `atomics` counts only real
-  /// compare-exchanges (mirroring InstrumentedTag<CasLtPolicy>). Forced
+  /// compare-exchanges (as InstrumentedPolicy<CasLtPolicy> counts). Forced
   /// inline: shared by three ops it outgrows GCC's inline budget, and the
   /// outlined call made a single-thread upsert or erase ~30% slower.
   [[gnu::always_inline]] MapUpsert write(round_t round, Key key, bool live, Slot*& slot) {

@@ -45,8 +45,8 @@ struct ContentionTotals {
   /// atomics counts the same events for slot sites, so refills/atomics
   /// separates "RMWs on the shared line" from per-slot work.
   std::uint64_t refills = 0;
-  /// Tags re-initialised by round-reset sweeps — Θ(N)·rounds for the full
-  /// gatekeeper sweep, Σ(#writes-last-round) for the sparse one (§6 cost).
+  /// Tags re-initialised by round-reset sweeps — Θ(N)·rounds for the
+  /// gatekeeper sweep (the §6 cost CAS-LT does not pay).
   std::uint64_t reset_tags = 0;
   /// Erase commits (ds tables): each is one CAS-LT tombstone write, so
   /// tombstones == erase wins and tombstones ≤ atomics for a table site.

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "core/round_tag.hpp"
 #include "ds/hash_common.hpp"
@@ -68,6 +69,51 @@ enum class OpKind : std::uint8_t {
   return k == OpKind::kLookup || k == OpKind::kSameComponent ||
          k == OpKind::kComponentSize;
 }
+
+/// The read-your-writes rule, held by ClientSession and WireClient alike:
+/// the client's last committed write round per shard and on any shard.
+/// Reads (is_read_op) must execute in a round later than the writes they
+/// could observe, and are re-issued otherwise; snapshot kinds are answered
+/// outside any round and neither read nor write; every other kind is a
+/// write whose committed round advances the tracker.
+class ReadYourWrites {
+ public:
+  /// Folds one completed op, executed in `round` on `shard`, into the
+  /// tracker. Returns false iff it is a stale read, which the client
+  /// re-issues.
+  bool accept(OpKind kind, std::uint32_t shard, round_t round) {
+    if (is_read_op(kind)) return round > stale_bound(kind, shard);
+    // Snapshot kinds never commit in a round (schedulers reject them, the
+    // wire server answers them outside any): folding their round in would
+    // wedge every later read behind a round this client never wrote.
+    if (!is_snapshot_op(kind)) note_write(shard, round);
+    return true;
+  }
+
+  void note_write(std::uint32_t shard, round_t round) {
+    if (shard >= last_write_round_.size()) last_write_round_.resize(shard + 1, 0);
+    if (round > last_write_round_[shard]) last_write_round_[shard] = round;
+    if (round > max_write_round_) max_write_round_ = round;
+  }
+
+  [[nodiscard]] round_t last_write_round(std::uint32_t shard) const noexcept {
+    return shard < last_write_round_.size() ? last_write_round_[shard] : 0;
+  }
+  [[nodiscard]] round_t max_write_round() const noexcept { return max_write_round_; }
+
+ private:
+  /// The round a read must exceed to be RYW-fresh. Lookups compare against
+  /// this client's last write on the key's own shard; the connectivity
+  /// queries read GLOBAL state (a hook executed on any stripe can connect
+  /// any two vertices), so they compare against the last write round on
+  /// any shard — comparable because one arbiter issues every round id.
+  [[nodiscard]] round_t stale_bound(OpKind kind, std::uint32_t shard) const noexcept {
+    return kind == OpKind::kLookup ? last_write_round(shard) : max_write_round_;
+  }
+
+  std::vector<round_t> last_write_round_;
+  round_t max_write_round_ = 0;
+};
 
 /// One client operation. Keys live in the ds/ tables' uint64 key space
 /// (string keys go through ds::string_key); the all-ones key is reserved.

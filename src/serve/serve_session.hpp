@@ -178,47 +178,34 @@ using ShardedServeSession = ServeSession;
 /// ClientSession — a per-client read-your-writes view over any session.
 //
 // Tracks the client's last committed WRITE round per shard (from the
-// Results it observes) and guarantees that every lookup it returns
-// executed in a strictly later round on that key's shard — i.e. the
-// lookup saw this client's own preceding writes. The sync call() path
+// Results it observes) and guarantees that every read it returns executed
+// in a strictly later round than the writes it must see — a lookup, this
+// client's writes on the key's shard; a connectivity query, its writes on
+// any shard (the ReadYourWrites rule, op.hpp). The sync call() path
 // already gets this ordering from the batch lifecycle (a lookup submitted
 // after a write completed can only drain into a later round); the tracked
 // round makes the guarantee *checked*, and for pipelined wire clients
-// (wire_client.hpp reimplements the same protocol from Response frames)
-// the retry is load-bearing: a lookup racing its own write into one round
-// gets re-submitted until it lands later.
+// (wire_client.hpp applies the same rule to Response frames) the retry is
+// load-bearing: a lookup racing its own write into one round gets
+// re-submitted until it lands later.
 //
 // One ClientSession per client thread (it is plain mutable state); many
 // may share one session.
 template <typename Session>
 class ClientSession {
  public:
-  explicit ClientSession(Session& session)
-      : session_(session),
-        last_write_round_(
-            static_cast<std::size_t>(session.backend().shard_count()), 0) {}
+  explicit ClientSession(Session& session) : session_(session) {}
 
   /// Synchronous round trip with read-your-writes: writes record their
-  /// committed round; lookups retry (stale_retries() counts) until their
-  /// round is strictly later than this client's last write on the shard.
+  /// committed round; reads retry (stale_retries() counts) until their
+  /// round is strictly later than the writes they must see.
   Result call(const Op& op) {
-    const auto shard = static_cast<std::size_t>(session_.backend().shard_of(op.key));
-    if (op.kind == OpKind::kLookup) {
-      for (;;) {
-        const Result r = session_.call(op);
-        if (r.round > last_write_round_[shard]) return r;
-        ++stale_retries_;
-      }
+    const auto shard = static_cast<std::uint32_t>(session_.backend().shard_of(op.key));
+    for (;;) {
+      const Result r = session_.call(op);
+      if (ryw_.accept(op.kind, shard, r.round)) return r;
+      ++stale_retries_;
     }
-    const Result r = session_.call(op);
-    // Snapshot kinds are not writes (the schedulers reject them; the wire
-    // server answers them out-of-round) — folding their rejection round
-    // into the tracker would wedge every later lookup behind a round that
-    // never committed for this client.
-    if (!is_snapshot_op(op.kind) && r.round > last_write_round_[shard]) {
-      last_write_round_[shard] = r.round;
-    }
-    return r;
   }
 
   /// Consistent-scan digest of the session's committed state at a fresh
@@ -232,21 +219,20 @@ class ClientSession {
   /// clients that pipeline through submit/wait and only need the tracked
   /// rounds, not the retry loop).
   void observe_write(std::uint64_t key, const Result& r) {
-    const auto shard = static_cast<std::size_t>(session_.backend().shard_of(key));
-    if (r.round > last_write_round_[shard]) last_write_round_[shard] = r.round;
+    ryw_.note_write(static_cast<std::uint32_t>(session_.backend().shard_of(key)), r.round);
   }
 
   /// The last committed write round this client observed on `shard`.
   [[nodiscard]] round_t last_write_round(int shard) const {
-    return last_write_round_[static_cast<std::size_t>(shard)];
+    return ryw_.last_write_round(static_cast<std::uint32_t>(shard));
   }
-  /// Lookups that had to retry because they landed in a round at or
-  /// before this client's last write (0 on the sync path by design).
+  /// Reads that had to retry because they landed in a round at or before
+  /// a write of this client they must see (0 on the sync path by design).
   [[nodiscard]] std::uint64_t stale_retries() const noexcept { return stale_retries_; }
 
  private:
   Session& session_;
-  std::vector<round_t> last_write_round_;
+  ReadYourWrites ryw_;
   std::uint64_t stale_retries_ = 0;
 };
 

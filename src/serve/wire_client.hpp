@@ -3,10 +3,11 @@
 // callers, reconstructed from Response frames.
 //
 // Two driving modes:
-//   * call(op): one request, one reply. Lookups that land in a round at
-//     or before this client's last write on the key's shard are re-issued
-//     (stale_retries() counts them) — so call() is RYW-safe even when the
-//     server batches this client's ops with thousands of others.
+//   * call(op): one request, one reply. Reads that land in a round at or
+//     before a write of this client they must see are re-issued
+//     (stale_retries() counts them; the rule is ReadYourWrites, op.hpp) —
+//     so call() is RYW-safe even when the server batches this client's
+//     ops with thousands of others.
 //   * pipeline(ops, window): keeps up to `window` requests in flight,
 //     matching replies by correlation id. Writes update the per-shard
 //     round tracker; stale lookups are re-queued at the BACK of the
@@ -64,16 +65,8 @@ class WireClient {
   wire::Response call(const Op& op) {
     for (;;) {
       const wire::Response r = call_raw(op);
-      if (is_snapshot_op(op.kind)) return r;  // not a write: no RYW tracking
-      if (is_read_op(op.kind)) {
-        if (r.round <= stale_bound(op.kind, r.shard)) {
-          ++stale_retries_;
-          continue;  // raced our own write into its round — re-issue
-        }
-        return r;
-      }
-      note_write(r.shard, r.round);
-      return r;
+      if (ryw_.accept(op.kind, r.shard, r.round)) return r;
+      ++stale_retries_;  // raced our own write into its round — re-issue
     }
   }
 
@@ -128,15 +121,12 @@ class WireClient {
       const std::size_t idx = it->second;
       in_flight.erase(it);
       const Op& op = ops[idx];
-      if (is_read_op(op.kind) && resp.round <= stale_bound(op.kind, resp.shard)) {
+      if (!ryw_.accept(op.kind, resp.shard, resp.round)) {
         ++stale_retries_;
         const std::uint64_t id = next_id_++;  // re-issue, stay in the window
         in_flight.emplace(id, idx);
         queue_request(id, op);
         continue;
-      }
-      if (!is_read_op(op.kind) && !is_snapshot_op(op.kind)) {
-        note_write(resp.shard, resp.round);
       }
       results[idx] = resp;
       ++done;
@@ -147,13 +137,13 @@ class WireClient {
   // -- read-your-writes state ------------------------------------------------
 
   [[nodiscard]] round_t last_write_round(std::uint32_t shard) const noexcept {
-    return shard < last_write_round_.size() ? last_write_round_[shard] : 0;
+    return ryw_.last_write_round(shard);
   }
   /// Last write round on ANY shard — the stale bound of the connectivity
   /// queries, which read global state.
-  [[nodiscard]] round_t max_write_round() const noexcept { return max_write_round_; }
-  /// Lookups re-issued because they executed at or before this client's
-  /// last write on their shard.
+  [[nodiscard]] round_t max_write_round() const noexcept { return ryw_.max_write_round(); }
+  /// Reads re-issued because they executed at or before a write of this
+  /// client they must see.
   [[nodiscard]] std::uint64_t stale_retries() const noexcept { return stale_retries_; }
 
  private:
@@ -194,27 +184,11 @@ class WireClient {
     }
   }
 
-  /// The round a read must exceed to be RYW-fresh. Lookups compare against
-  /// this client's last write on the key's own shard; the connectivity
-  /// queries read GLOBAL state (a hook executed on any stripe can connect
-  /// any two vertices), so they compare against the last write round on
-  /// any shard — comparable because one arbiter issues every round id.
-  [[nodiscard]] round_t stale_bound(OpKind kind, std::uint32_t shard) const noexcept {
-    return kind == OpKind::kLookup ? last_write_round(shard) : max_write_round_;
-  }
-
-  void note_write(std::uint32_t shard, round_t round) {
-    if (shard >= last_write_round_.size()) last_write_round_.resize(shard + 1, 0);
-    if (round > last_write_round_[shard]) last_write_round_[shard] = round;
-    if (round > max_write_round_) max_write_round_ = round;
-  }
-
   int fd_ = -1;
   wire::ResponseDecoder decoder_;
   std::uint64_t next_id_ = 1;
   std::uint64_t stale_retries_ = 0;
-  std::vector<round_t> last_write_round_;
-  round_t max_write_round_ = 0;
+  ReadYourWrites ryw_;
   std::vector<std::uint8_t> out_;  // queued request frames, not yet sent
   std::uint8_t chunk_[16 * 1024];
 };

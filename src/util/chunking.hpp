@@ -26,19 +26,14 @@
 //     several threads; each chunk pays one binary search over the offsets
 //     for its first source, which 2^16 slots amortise to nothing, and a
 //     2^24-slot graph still yields 256 grabs to balance over the team.
-//     Compile-time only: no env override.
 //
 // The two vertex-loop chunks were sanity-checked against the
 // ablation_schedule harness (static/dynamic/guided over the same irregular
-// workload); re-run it when porting to new hardware. For experiments the
-// env vars below override the defaults at process start (first call wins):
-//
-//   CRCW_CHUNK=<n>        forces both vertex-loop chunk sizes to n
-//   CRCW_SLOT_CHUNK=<n>   overrides the SlotAllocator grant size
+// workload, its chunk passed through MachineConfig::chunk); re-run it when
+// porting to new hardware. All four are compile-time constants.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 
 namespace crcw::util {
 
@@ -46,39 +41,5 @@ inline constexpr int kFrontierChunk = 64;
 inline constexpr int kBottomUpChunk = 256;
 inline constexpr std::uint64_t kSlotChunk = 256;
 inline constexpr std::uint64_t kEdgeChunk = std::uint64_t{1} << 16;
-
-namespace detail {
-inline long chunk_env(const char* name, long fallback) noexcept {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  return (end != s && v > 0) ? v : fallback;
-}
-}  // namespace detail
-
-/// Dynamic-schedule chunk for frontier-shaped loops (degree-skewed work
-/// per iteration). CRCW_CHUNK overrides; cached on first call.
-inline int frontier_chunk() noexcept {
-  static const int v =
-      static_cast<int>(detail::chunk_env("CRCW_CHUNK", kFrontierChunk));
-  return v;
-}
-
-/// Dynamic-schedule chunk for bottom-up / all-vertex scans (cheap, mostly
-/// uniform iterations). CRCW_CHUNK overrides; cached on first call.
-inline int bottom_up_chunk() noexcept {
-  static const int v =
-      static_cast<int>(detail::chunk_env("CRCW_CHUNK", kBottomUpChunk));
-  return v;
-}
-
-/// Slots per SlotAllocator refill (one shared fetch_add grants this many).
-/// CRCW_SLOT_CHUNK overrides; cached on first call.
-inline std::uint64_t slot_chunk() noexcept {
-  static const auto v = static_cast<std::uint64_t>(
-      detail::chunk_env("CRCW_SLOT_CHUNK", static_cast<long>(kSlotChunk)));
-  return v;
-}
 
 }  // namespace crcw::util

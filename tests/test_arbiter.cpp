@@ -123,79 +123,6 @@ TEST(WriteArbiter, PackedLayoutIsDense) {
   EXPECT_EQ(b - a, sizeof(RoundTag));
 }
 
-TEST(WriteArbiter, ConfigEnablesTracking) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = 2;
-  WriteArbiter<GatekeeperPolicy> tracked(4, cfg);
-  EXPECT_TRUE(tracked.tracking());
-  EXPECT_EQ(tracked.touched_count(), 0u);
-
-  // Tracking is meaningless for policies without a per-round reset; the
-  // arbiter must not pay for lists CAS-LT would never drain.
-  WriteArbiter<CasLtPolicy> caslt(4, cfg);
-  EXPECT_FALSE(caslt.tracking());
-
-  // Default config = paper-faithful behaviour: no tracking.
-  WriteArbiter<GatekeeperPolicy> plain(4, ArbiterConfig{});
-  EXPECT_FALSE(plain.tracking());
-}
-
-TEST(WriteArbiter, TouchedListsRecordWinnersOnly) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = 1;
-  WriteArbiter<GatekeeperPolicy> arb(8, cfg);
-  {
-    auto scope = arb.next_round(ResetMode::kNone);
-    ASSERT_TRUE(scope.acquire(3));
-    ASSERT_FALSE(scope.acquire(3));  // loser: no touched entry
-    ASSERT_TRUE(scope.acquire(5, /*lane=*/0));  // explicit-lane overload
-  }
-  EXPECT_EQ(arb.touched_count(), 2u);
-  arb.reset_tags_sparse();
-  EXPECT_EQ(arb.touched_count(), 0u);
-  auto scope = arb.next_round(ResetMode::kNone);
-  EXPECT_TRUE(scope.acquire(3));  // sparse reset re-armed the touched tag
-}
-
-TEST(WriteArbiter, PolicySparseModeSweepsSerially) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = 1;
-  WriteArbiter<GatekeeperPolicy> arb(16, cfg);
-  {
-    auto scope = arb.next_round(ResetMode::kNone);
-    for (std::size_t i = 0; i < 16; i += 4) ASSERT_TRUE(scope.acquire(i));
-  }
-  // kPolicySparse resets the touched tags at the next step boundary — no
-  // OpenMP involved, so the raw-thread stress tier can use this mode too.
-  auto scope = arb.next_round(ResetMode::kPolicySparse);
-  for (std::size_t i = 0; i < 16; i += 4) EXPECT_TRUE(scope.acquire(i));
-  EXPECT_EQ(arb.touched_count(), 4u);
-}
-
-TEST(WriteArbiter, FullSweepsClearStaleTouchedLists) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = 1;
-  WriteArbiter<GatekeeperPolicy> arb(8, cfg);
-  {
-    auto scope = arb.next_round(ResetMode::kNone);
-    ASSERT_TRUE(scope.acquire(1));
-  }
-  arb.reset_tags_parallel();  // full sweep must also drain the lists…
-  EXPECT_EQ(arb.touched_count(), 0u);
-  {
-    auto scope = arb.next_round(ResetMode::kPolicy);  // …and so must kPolicy
-    ASSERT_TRUE(scope.acquire(2));
-  }
-  (void)arb.next_round(ResetMode::kPolicy);
-  EXPECT_EQ(arb.touched_count(), 0u);
-  arb.reset_all();
-  EXPECT_EQ(arb.touched_count(), 0u);
-}
-
 TEST(WriteArbiterStress, PerTargetExactlyOneWinner) {
   constexpr std::size_t kTargets = 64;
   WriteArbiter<CasLtPolicy> arb(kTargets);

@@ -318,8 +318,7 @@ EdgeByEdge edge_by_edge_solve(const Csr& g) {
 /// that skipped a substep with a live attempt, under any policy, fails.
 void expect_edge_by_edge(const Csr& g) {
   const EdgeByEdge want = edge_by_edge_solve(g);
-  for (const std::string method :
-       {"caslt", "gatekeeper", "gatekeeper-sparse", "gatekeeper-skip", "critical"}) {
+  for (const std::string method : {"caslt", "gatekeeper", "gatekeeper-skip", "critical"}) {
     SCOPED_TRACE(method);
     const CcResult r = run_cc(method, g, {.threads = 1});
     EXPECT_EQ(r.label, want.label);

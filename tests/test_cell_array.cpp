@@ -100,30 +100,26 @@ TEST(ConWriteArray, ResetTags) {
   EXPECT_TRUE(arr.try_write(0, 2));
 }
 
-TEST(ConWriteArray, ConfigCtorWithSparseRounds) {
+TEST(ConWriteArray, ConfigCtorWithParallelRounds) {
   ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = 4;
   cfg.first_touch = util::FirstTouch::kParallel;
   ConWriteArray<int, GatekeeperPolicy> arr(64, cfg, -1);
   for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(arr[i], -1);
 
-  arr.begin_round_sparse(2);
+  arr.begin_round_parallel(2);
   for (std::size_t i = 0; i < 64; i += 8) ASSERT_TRUE(arr.try_write(i, 1));
   for (std::size_t i = 0; i < 64; i += 8) ASSERT_FALSE(arr.try_write(i, 9));
-  // The sparse sweep re-opens exactly the written cells; untouched cells
-  // were never closed, so after it the whole array accepts writes again.
-  arr.begin_round_sparse(2);
+  // The parallel sweep re-opens every cell, so after it the whole array
+  // accepts writes again.
+  arr.begin_round_parallel(2);
   for (std::size_t i = 0; i < 64; ++i) ASSERT_TRUE(arr.try_write(i, 2));
   for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(arr[i], 2);
-}
 
-TEST(ConWriteArray, SparseRoundIsPlainIncrementForCasLt) {
-  ConWriteArray<int> arr(4, ArbiterConfig{}, 0);
-  const round_t r1 = arr.begin_round_sparse();
-  const round_t r2 = arr.begin_round_sparse();
-  EXPECT_EQ(r2, r1 + 1);
-  EXPECT_TRUE(arr.try_write(0, 1));
+  // CAS-LT through the same constructor: a round is a plain increment.
+  ConWriteArray<int> caslt(4, cfg, 0);
+  const round_t r1 = caslt.begin_round_parallel(2);
+  EXPECT_EQ(caslt.begin_round_parallel(2), r1 + 1);
+  EXPECT_TRUE(caslt.try_write(0, 1));
 }
 
 TEST(ConWriteArrayStress, ManyRoundsManyCells) {

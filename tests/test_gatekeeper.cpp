@@ -6,9 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstddef>
-
-#include "core/arbiter.hpp"
 
 namespace crcw {
 namespace {
@@ -156,75 +153,6 @@ TEST(GatekeeperStress, RotatingCoordinatorExactlyOneWinnerPerRound) {
     }
   }
   EXPECT_EQ(failures.load(), 0);
-}
-
-/// Sparse-reset torture: frontier-shaped rounds (a small distinct target
-/// set under full thread contention) reset through the touched lists must
-/// leave the arbiter in exactly the state the full Θ(N) sweep produces —
-/// every tag fresh, every list empty. The touched count also pins the
-/// winner-only recording: one entry per won target, none for losers.
-TEST(GatekeeperStress, SparseResetMatchesFullResetState) {
-  constexpr std::size_t kTargets = 4096;
-  constexpr int kRounds = 100;
-  const int threads = std::max(4, omp_get_max_threads());
-
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = threads;
-  WriteArbiter<GatekeeperPolicy> sparse(kTargets, cfg);
-  WriteArbiter<GatekeeperPolicy> full(kTargets);
-
-  for (int r = 0; r < kRounds; ++r) {
-    // Distinct strided target set, size varying per round (131 ⊥ 4096).
-    const std::size_t writes = 1 + (static_cast<std::size_t>(r) * 37) % 512;
-    std::atomic<std::uint64_t> sparse_wins{0};
-    std::atomic<std::uint64_t> full_wins{0};
-    {
-      auto sparse_scope = sparse.next_round(ResetMode::kNone);
-      auto full_scope = full.next_round(ResetMode::kNone);
-#pragma omp parallel num_threads(threads)
-      {
-        for (std::size_t a = 0; a < writes; ++a) {
-          const std::size_t target = (a * 131) % kTargets;
-          if (sparse_scope.acquire(target)) {
-            sparse_wins.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (full_scope.acquire(target)) {
-            full_wins.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    }
-    ASSERT_EQ(sparse_wins.load(), writes) << "round " << r;
-    ASSERT_EQ(full_wins.load(), writes) << "round " << r;
-    ASSERT_EQ(sparse.touched_count(), writes) << "round " << r;
-
-    sparse.reset_tags_sparse(threads);
-    full.reset_tags_parallel(threads);
-    ASSERT_EQ(sparse.touched_count(), 0u);
-
-    // Both reset paths must agree on the full tag state: everything fresh.
-    for (std::size_t i = 0; i < kTargets; ++i) {
-      ASSERT_EQ(sparse.tag(i).contenders(), full.tag(i).contenders());
-      ASSERT_EQ(sparse.tag(i).contenders(), 0u) << "stale tag " << i;
-    }
-  }
-}
-
-/// Tracking off = the documented fallback: reset_tags_sparse degrades to
-/// the full sweep, so correctness never depends on the config.
-TEST(GatekeeperStress, SparseResetFallsBackWithoutTracking) {
-  constexpr std::size_t kTargets = 512;
-  WriteArbiter<GatekeeperPolicy> arbiter(kTargets);  // tracking disabled
-  EXPECT_FALSE(arbiter.tracking());
-  {
-    auto scope = arbiter.next_round(ResetMode::kNone);
-    for (std::size_t i = 0; i < kTargets; i += 3) ASSERT_TRUE(scope.acquire(i));
-  }
-  arbiter.reset_tags_sparse();  // must sweep everything despite no lists
-  for (std::size_t i = 0; i < kTargets; ++i) {
-    ASSERT_EQ(arbiter.tag(i).contenders(), 0u) << "stale tag " << i;
-  }
 }
 
 }  // namespace

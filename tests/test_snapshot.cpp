@@ -52,7 +52,10 @@ using StreamSession = serve::BasicServeSession<stream::StreamScheduler>;
 void spit(const std::string& path, const std::vector<unsigned char>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // An empty vector's data() may be null, which fwrite must not be given.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 

@@ -113,6 +113,25 @@ TEST(StreamServe, QueriesAreCommittedReadsOfPriorRounds) {
   EXPECT_EQ(session.call(Op::same_component(30, 31)).value, 1u);
 }
 
+TEST(StreamServe, ClientSessionTreatsConnectivityQueriesAsReads) {
+  // One read-your-writes rule for every client (ReadYourWrites, op.hpp):
+  // a connectivity query is a read, so it advances no stripe's write
+  // round, and one issued after a write runs in a later round.
+  StreamSession session(stream_config().with_shards(4));
+  ASSERT_EQ(session.backend().shard_count(), 4);
+  serve::ClientSession<StreamSession> client(session);
+  EXPECT_EQ(client.call(Op::same_component(1, 2)).value, 0u);
+  EXPECT_EQ(client.call(Op::component_size(3)).value, 1u);
+  for (int s = 0; s < 4; ++s) EXPECT_EQ(client.last_write_round(s), 0u) << "stripe " << s;
+
+  const Result w = client.call(Op::edge_insert(1, 2));
+  ASSERT_TRUE(w.won);
+  const Result q = client.call(Op::same_component(2, 1));
+  EXPECT_EQ(q.value, 1u);
+  EXPECT_GT(q.round, w.round);
+  EXPECT_EQ(client.stale_retries(), 0u);
+}
+
 TEST(StreamServe, RejectsMalformedAndKvOps) {
   StreamSession session(stream_config(64));
   // KV vocabulary is not served by the stream backend.
