@@ -17,8 +17,7 @@
 //                 than the client's writes from earlier windows (throws on
 //                 violation — consistency is part of what's measured);
 //   shards        the sharded backend across shard counts at fixed
-//                 threads/batch (m = shard count) — shard-local batching:
-//                 the hit_rate counter must stay 1.0 for routed submits;
+//                 threads/batch (m = shard count) — shard-local batching;
 //   wire          the full deployment: a sharded server in this process, a
 //                 REAL external client process (examples/wire_loadgen,
 //                 fork/exec) pipelining mixed traffic over loopback TCP —
@@ -91,7 +90,6 @@ struct ServeRunStats {
   std::uint64_t p99_enqueue_commit_ns = 0;
   std::uint64_t p99_enqueue_admit_ns = 0;
   std::uint64_t rounds = 0;
-  double hit_rate = 1.0;
 };
 
 [[nodiscard]] crcw::serve::ServeConfig serve_config(int threads, std::uint64_t batch,
@@ -205,7 +203,6 @@ ServeRunStats serve_run(const std::vector<std::uint64_t>& keys, int threads,
   stats.p99_enqueue_commit_ns = session.metrics().p99_enqueue_to_commit_ns();
   stats.p99_enqueue_admit_ns = session.metrics().p99_enqueue_to_admit_ns();
   stats.rounds = bstats.rounds;
-  stats.hit_rate = bstats.routing_hit_rate();
   return stats;
 }
 
@@ -289,7 +286,6 @@ void bench_serve(benchmark::State& state, const char* sweep, int threads,
     state.counters["keys"] = static_cast<double>(stats.committed_keys);
     state.counters["rounds"] = static_cast<double>(stats.rounds);
     state.counters["p99_us"] = static_cast<double>(stats.p99_enqueue_commit_ns) / 1e3;
-    state.counters["hit_rate"] = stats.hit_rate;
     rec.profile([&] {
       crcw::obs::MetricsRegistry local;
       const crcw::obs::ScopedRegistry scoped(local);
@@ -416,7 +412,6 @@ void wire_serve(benchmark::State& s) {
   const std::uint64_t ops = crcw::bench::smoke_mode() ? kWireOps / 8 : kWireOps;
   std::vector<double> p99_commit;
   std::uint64_t rounds = 0;
-  double hit_rate = 1.0;
   {
     RowRecorder rec(s, spec("wire", "serve", clients, 4, /*baseline=*/""));
     for (auto _ : s) {
@@ -436,10 +431,8 @@ void wire_serve(benchmark::State& s) {
       rec.record(secs);
       p99_commit.push_back(static_cast<double>(session.metrics().p99_enqueue_to_commit_ns()));
       rounds = session.backend().round();
-      hit_rate = session.metrics().routing_hit_rate();
     }
     s.counters["rounds"] = static_cast<double>(rounds);
-    s.counters["hit_rate"] = hit_rate;
     if (!p99_commit.empty()) {
       s.counters["p99_us"] = p99_commit.back() / 1e3;
     }

@@ -151,9 +151,8 @@ int run(const crcw::util::Cli& cli) {
     server->stop();
     const auto st = session->stats();
     std::printf("wire_loadgen: server rounds=%" PRIu64 " served=%" PRIu64
-                " shards=%d hit_rate=%.3f p99_commit_us=%.1f\n",
+                " shards=%d p99_commit_us=%.1f\n",
                 st.rounds, st.ops_served, st.shards,
-                session->metrics().routing_hit_rate(),
                 static_cast<double>(session->metrics().p99_enqueue_to_commit_ns()) / 1e3);
     if (st.ops_served < total.ops) rc = 1;
     delete server;

@@ -2,9 +2,10 @@
 //
 // Layout follows the repo's sharding idiom (obs::ContentionSite,
 // ds::ShardedCounter): one cache-line-padded sub-queue per *lane*, each
-// guarded by its own spinlock, with clients bound to lanes by a dense
-// thread-local index. Uncontended enqueues therefore touch only their own
-// line; the pump drains every lane at a batch boundary. Counts and the
+// guarded by its own spinlock. The caller names the lane (the round
+// engine picks one of the key's own shard by a dense thread-local client
+// slot), so uncontended enqueues touch only their own line; the pump
+// drains every lane at a batch boundary. Counts and the
 // oldest-enqueue timestamp are advisory relaxed atomics — they steer the
 // size/deadline triggers, never correctness (the drain under the lane lock
 // is the authoritative hand-off, and its acquire/release pairing is the
@@ -12,15 +13,14 @@
 //
 // Backpressure: a lane holds at most `lane_backlog` records; try_enqueue
 // refuses at the watermark and the caller relieves the pressure — the
-// session's submit() helps drain, a raw enqueue() backs off (spin, then
-// yield) until some other pump drains. Either way queue memory stays
-// bounded and, on oversubscribed machines, the core goes to the pump
-// instead of racing it.
+// session's submit() helps drain. Queue memory stays bounded and, on
+// oversubscribed machines, the core goes to the pump instead of racing
+// it.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "serve/op.hpp"
@@ -40,36 +40,25 @@ struct Record {
 
 class RequestQueue {
  public:
-  /// Lane sentinel for try_enqueue: "no routing preference" — the record
-  /// goes to the caller's own (dense thread-local) lane. Routed backends
-  /// pass a real lane index instead (lane→shard affinity).
-  static constexpr std::size_t kAnyLane = ~std::size_t{0};
-
   /// `lanes` ≥ 1 sub-queues; `lane_backlog` is the per-lane watermark
-  /// (0 = unbounded); `backoff_spins` parameterises the blocked-client
-  /// waiter; `sample_mask` thins latency timestamping (2^k − 1 = stamp
-  /// every 2^k-th op per client; 0 = stamp every op — an unstamped
-  /// record carries enqueue_ns 0 and skips the histograms downstream).
-  RequestQueue(int lanes, std::uint64_t lane_backlog, int backoff_spins,
-               std::uint64_t sample_mask = 0)
+  /// (0 = unbounded); `sample_mask` thins latency timestamping (2^k − 1 =
+  /// stamp every 2^k-th op per client thread; 0 = stamp every op — an
+  /// unstamped record carries enqueue_ns 0 and skips the histograms
+  /// downstream).
+  RequestQueue(int lanes, std::uint64_t lane_backlog, std::uint64_t sample_mask = 0)
       : lanes_(static_cast<std::size_t>(lanes < 1 ? 1 : lanes)),
         lane_backlog_(lane_backlog),
-        backoff_spins_(backoff_spins),
         sample_mask_(sample_mask) {}
 
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
 
-  /// Non-blocking admission: refuses (returns false) when the target
-  /// lane is at its watermark. The caller decides how to relieve the
-  /// pressure — back off, or help drain (BasicServeSession::submit does
-  /// the latter, so a pump-less session can never deadlock on its own
-  /// backlog). `lane` picks the sub-queue (kAnyLane = the caller's own;
-  /// out-of-range wraps — routed callers size the queue to match). The
-  /// future must stay pinned until it completes.
-  [[nodiscard]] bool try_enqueue(const Op& op, OpFuture& future,
-                                 std::size_t lane_hint = kAnyLane) {
-    Lane& lane =
-        lanes_[lane_hint == kAnyLane ? lane_index() : lane_hint % lanes_.size()];
+  /// Non-blocking admission into sub-queue `l` (< lanes()): refuses
+  /// (returns false) when the lane is at its watermark. The caller
+  /// relieves the pressure (BasicServeSession::submit helps drain, so a
+  /// pump-less session can never deadlock on its own backlog). The future
+  /// must stay pinned until it completes.
+  [[nodiscard]] bool try_enqueue(const Op& op, OpFuture& future, std::size_t l) {
+    Lane& lane = lanes_[l];
     if (lane_backlog_ != 0 &&
         lane.count.load(std::memory_order_relaxed) >= lane_backlog_) {
       return false;  // admission backpressure
@@ -95,21 +84,13 @@ class RequestQueue {
     return true;
   }
 
-  /// Blocking admission: spin-then-yield until the lane has room. Only
-  /// safe when some *other* thread drains; a lone thread must use
-  /// try_enqueue and relieve its own backpressure.
-  void enqueue(const Op& op, OpFuture& future) {
-    BackoffState backoff(backoff_spins_);
-    while (!try_enqueue(op, future)) backoff.pause();
-  }
-
   /// Moves lane l's pending records into `out` (appending, admission
   /// order) and returns how many were drained. Lane l belongs to one
   /// shard, so the round engine drains lane by lane and keeps the batch
   /// shard-local without a re-sort. Callers serialise through the engine's
   /// pump lock; clients may enqueue concurrently.
   std::uint64_t drain_lane_into(std::size_t l, std::vector<Record>& out) {
-    Lane& lane = lanes_[l % lanes_.size()];
+    Lane& lane = lanes_[l];
     util::Backoff backoff;  // spinlock acquire: exponential, like try_enqueue
     while (lane.lock.test_and_set(std::memory_order_acquire)) backoff.pause();
     const std::uint64_t drained = lane.records.size();
@@ -161,17 +142,8 @@ class RequestQueue {
     std::vector<Record> records;
   };
 
-  /// Dense thread index, recycled mod lanes — the ShardedCounter contract:
-  /// collisions degrade to lock sharing, never to wrong hand-offs.
-  [[nodiscard]] std::size_t lane_index() const noexcept {
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-    return index % lanes_.size();
-  }
-
   util::AlignedBuffer<Lane> lanes_;
   std::uint64_t lane_backlog_;
-  int backoff_spins_;
   std::uint64_t sample_mask_;
 };
 

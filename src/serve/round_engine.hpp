@@ -1,17 +1,19 @@
 // RoundEngine — the one round lifecycle every serve backend runs on. It is
 // the CRTP base of ShardedScheduler (N key-sharded tables) and
 // stream::StreamScheduler (one edge table and forest, striped execution),
-// and owns everything round-shaped; a backend keeps only its own state.
+// and owns everything round-shaped — the admission queue and the serve
+// metrics included; a backend keeps only its own state.
 //
 // Lifecycle of one batch (docs/architecture.md, "The round engine"):
 //
-//   clients ──route(key)──▶ RequestQueue lanes, shard-major: shard s owns
-//                           │ lanes [s·L, (s+1)·L)
+//   clients ──try_enqueue──▶ RequestQueue lanes, shard-major: shard s owns
+//                           │ lanes [s·L, (s+1)·L), and every op lands in a
+//                           │ lane of its key's own shard
 //                           │ size trigger (pending ≥ max_batch) or
 //                           │ deadline trigger (oldest wait ≥ max_wait_us)
 //                           ▼
-//   drain lane by lane into per-shard pending lists (strays re-routed and
-//   counted foreign), then slice into rounds of ≤ max_batch ops per shard.
+//   drain each lane straight into its shard's pending list, then slice into
+//   rounds of ≤ max_batch ops per shard.
 //   Per slice, ONE WriteArbiter round r for every shard:
 //
 //   serial prolog   latency sample; admission (rejects publish round()+1);
@@ -20,8 +22,7 @@
 //   ├ implicit barrier — the cross-shard round boundary: no read of     │
 //   │   round r observes any round-r write, on its shard or any other   │
 //   └ omp for over shards: phase B — arbitrated writes + publish        ┘
-//   serial epilog   wins, kFull refusals, shard-round histogram,
-//                   the backend's end_round
+//   serial epilog   wins, kFull refusals, the backend's end_round
 //   batch close     the backend's end_batch (grow/reclaim maintenance),
 //                   skipped while a cut is held
 //
@@ -35,8 +36,8 @@
 //
 // Concurrency shape: clients touch only the queue and their futures; the
 // tables, the arbiter and the histograms are touched only under pump_lock_,
-// so any number of threads may call submit_batch()/flush() and exactly one
-// executes.
+// so any number of threads may call try_enqueue()/submit_batch()/flush()
+// and exactly one executes.
 //
 // What a backend supplies, through static calls only:
 //   Admit admit(op)                       reject, read or write
@@ -47,8 +48,7 @@
 //   void end_batch()                      maintenance; only with no cut held
 //   uint64_t keys()                       live committed keys, for stats()
 //   uint32_t snapshot_shards()            segments a snapshot cut covers
-// plus `Table::kEmptyKey`, the sentinel key admission rejects. Both passes
-// complete their records through publish().
+// Both passes complete their records through publish().
 #pragma once
 
 #include <algorithm>
@@ -67,7 +67,6 @@
 #include "serve/op.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_metrics.hpp"
-#include "serve/service_backend.hpp"
 #include "snap/cut.hpp"
 #include "util/backoff.hpp"
 #include "util/cacheline.hpp"
@@ -79,6 +78,21 @@ enum class Admit : std::uint8_t {
   kReject,  ///< answered won=false at round()+1 without touching any table
   kRead,    ///< phase A: a committed read of rounds < r
   kWrite,   ///< phase B: an arbitrated write at round r
+};
+
+/// One snapshot of a backend's service counters (relaxed reads; exact
+/// once clients quiesce).
+struct BackendStats {
+  round_t rounds = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t deadline_batches = 0;
+  std::uint64_t ops_served = 0;
+  /// Writes refused because their table was full (MapUpsert::kFull). Only
+  /// a held snapshot cut, which parks the backlog grow, makes this
+  /// reachable; a refused op answers won=false and may be retried.
+  std::uint64_t full_refusals = 0;
+  std::uint64_t keys = 0;  ///< live committed keys across all shards
+  int shards = 1;
 };
 
 /// One shard's phase-B outcome.
@@ -93,12 +107,19 @@ class RoundEngine {
   RoundEngine(const RoundEngine&) = delete;
   RoundEngine& operator=(const RoundEngine&) = delete;
 
-  /// Shard-major lane layout: every shard owns the same number of lanes
-  /// (resolved_lanes rounded up to a multiple of the shard count).
-  [[nodiscard]] static int queue_lanes(const ServeConfig& cfg) noexcept {
-    const ServeConfig v = cfg.validated();
-    return v.shards.count * lanes_per_shard(v);
+  /// Non-blocking admission into a lane of the key's own shard; distinct
+  /// client threads spread over the shard's lanes by a dense thread-local
+  /// slot. Refuses (returns false) when that lane is at its watermark —
+  /// BasicServeSession::submit relieves the pressure by helping drain. The
+  /// future must stay pinned until it completes.
+  [[nodiscard]] bool try_enqueue(const Op& op, OpFuture& future) {
+    const std::size_t lane = static_cast<std::size_t>(shard_of(op.key)) * lanes_per_shard_ +
+                             client_slot() % lanes_per_shard_;
+    return queue_.try_enqueue(op, future, lane);
   }
+
+  /// Approximate backlog (relaxed reads; exact once clients quiesce).
+  [[nodiscard]] std::uint64_t pending() const noexcept { return queue_.pending(); }
 
   /// Runs one batch if an admission trigger fired (size or deadline).
   /// Returns true iff this call executed at least one round. Safe to call
@@ -115,13 +136,6 @@ class RoundEngine {
   /// so shard choice and in-shard bucket placement stay decorrelated.
   [[nodiscard]] int shard_of(std::uint64_t key) const noexcept {
     return static_cast<int>((ds::mix64(key) >> 32) & shard_mask_);
-  }
-  /// A lane of the key's own shard; distinct client threads spread over
-  /// the shard's lanes by a dense thread-local slot (the RequestQueue
-  /// lane_index idiom, applied within the shard's lane block).
-  [[nodiscard]] std::size_t route(std::uint64_t key) const noexcept {
-    return static_cast<std::size_t>(shard_of(key)) * lanes_per_shard_ +
-           client_slot() % lanes_per_shard_;
   }
 
   // -- snapshot cuts (src/snap) ---------------------------------------------
@@ -176,20 +190,22 @@ class RoundEngine {
     st.full_refusals = full_refusals_.load(std::memory_order_relaxed);
     st.keys = self().keys();
     st.shards = shard_count();
-    st.shard_local_ops = metrics_.route_local();
-    st.shard_foreign_ops = metrics_.route_foreign();
     return st;
   }
 
+  [[nodiscard]] ServeMetrics& metrics() noexcept { return metrics_; }
+  [[nodiscard]] const ServeMetrics& metrics() const noexcept { return metrics_; }
+
  protected:
-  RoundEngine(const ServeConfig& cfg, RequestQueue& queue, ServeMetrics& metrics)
+  explicit RoundEngine(const ServeConfig& cfg)
       : cfg_(cfg.validated()),
         threads_(cfg_.batch.resolved_threads()),
         team_(std::min(threads_, cfg_.shards.count)),
         shard_mask_(static_cast<std::uint64_t>(cfg_.shards.count) - 1),
-        lanes_per_shard_(static_cast<std::size_t>(lanes_per_shard(cfg_))),
-        queue_(queue),
-        metrics_(metrics),
+        lanes_per_shard_(lanes_per_shard(cfg_)),
+        queue_(cfg_.shards.count * static_cast<int>(lanes_per_shard_),
+               cfg_.batch.resolved_lane_backlog(), cfg_.batch.sample_mask()),
+        metrics_(cfg_.batch.counters),
         work_(static_cast<std::size_t>(cfg_.shards.count)),
         writes_(work_.size()) {}
 
@@ -205,7 +221,7 @@ class RoundEngine {
   /// Completes one op, and samples its commit latency when it was stamped
   /// at enqueue (see BatchConfig::latency_sample_shift).
   void publish(const Record& rec, const Result& result) {
-    if (rec.enqueue_ns != 0) metrics_.record_commit(rec.enqueue_ns, admit_ns_, now_ns());
+    if (rec.enqueue_ns != 0) metrics_.record_commit(rec.enqueue_ns, now_ns());
     rec.future->publish(result);
   }
 
@@ -223,10 +239,12 @@ class RoundEngine {
     return static_cast<const Backend&>(*this);
   }
 
-  [[nodiscard]] static int lanes_per_shard(const ServeConfig& v) noexcept {
+  /// Every shard owns the same number of lanes: resolved_lanes rounded
+  /// up to a multiple of the shard count.
+  [[nodiscard]] static std::size_t lanes_per_shard(const ServeConfig& v) noexcept {
     const int lanes = v.batch.resolved_lanes();
     const int count = v.shards.count;
-    return std::max(1, (lanes + count - 1) / count);
+    return static_cast<std::size_t>(std::max(1, (lanes + count - 1) / count));
   }
 
   [[nodiscard]] static std::size_t client_slot() noexcept {
@@ -236,9 +254,9 @@ class RoundEngine {
   }
 
   [[nodiscard]] bool trigger_fired(bool& by_deadline) const noexcept {
-    const std::uint64_t pending = queue_.pending();
-    if (pending == 0) return false;
-    if (pending >= cfg_.batch.max_batch) return true;
+    const std::uint64_t backlog = queue_.pending();
+    if (backlog == 0) return false;
+    if (backlog >= cfg_.batch.max_batch) return true;
     const std::uint64_t oldest = queue_.oldest_enqueue_ns();
     by_deadline = oldest != 0 && now_ns() - oldest >= cfg_.batch.max_wait_us * 1000;
     return by_deadline;
@@ -273,31 +291,16 @@ class RoundEngine {
     return true;
   }
 
-  /// Drains lane by lane: a routed lane lands wholesale in its shard's
-  /// pending list; strays (raw enqueues that bypassed route()) are
-  /// re-routed here and counted foreign. The lists are cleared here rather
-  /// than after the batch, so a batch that threw cannot leave its records
-  /// to be executed again.
+  /// Drains lane by lane: try_enqueue put every op in a lane of its key's
+  /// shard, so each lane appends wholesale, in lane order, to its shard's
+  /// pending list. The lists are cleared here rather than after the batch,
+  /// so a batch that threw cannot leave its records to be executed again.
   std::uint64_t drain() {
     for (ShardWork& w : work_) w.pending.clear();
     std::uint64_t drained = 0;
-    std::uint64_t local = 0;
-    std::uint64_t foreign = 0;
     for (std::size_t l = 0; l < queue_.lanes(); ++l) {
-      const std::size_t lane_shard = std::min(l / lanes_per_shard_, work_.size() - 1);
-      scratch_.clear();
-      drained += queue_.drain_lane_into(l, scratch_);
-      for (const Record& rec : scratch_) {
-        // The sentinel key is rejected at admission without touching any
-        // table; charge it to the lane's own shard.
-        const std::size_t s = rec.op.key == Backend::Table::kEmptyKey
-                                  ? lane_shard
-                                  : static_cast<std::size_t>(shard_of(rec.op.key));
-        ++(s == lane_shard ? local : foreign);
-        work_[s].pending.push_back(rec);
-      }
+      drained += queue_.drain_lane_into(l, work_[l / lanes_per_shard_].pending);
     }
-    metrics_.routed(local, foreign);
     return drained;
   }
 
@@ -311,7 +314,7 @@ class RoundEngine {
 
   /// One logical round across every shard.
   void execute_slice(std::size_t j) {
-    admit_ns_ = now_ns();
+    const std::uint64_t admit_ns = now_ns();
 
     // Serial prolog: latency sample, admission, and the backlog
     // reservation (a grow runs its own OpenMP region, so it cannot live
@@ -323,7 +326,7 @@ class RoundEngine {
       writes_[s] = 0;
       const auto [begin, n] = window(s, j);
       for (const Record& rec : std::span(w.pending).subspan(begin, n)) {
-        if (rec.enqueue_ns != 0) metrics_.record_admit(rec.enqueue_ns, admit_ns_);
+        if (rec.enqueue_ns != 0) metrics_.record_admit(rec.enqueue_ns, admit_ns);
         switch (self().admit(rec.op)) {
           case Admit::kReject:
             publish(rec, Result{0, false, arbiter_.round() + 1});
@@ -368,12 +371,9 @@ class RoundEngine {
 
     // Serial epilog.
     WriteTally total;
-    for (std::size_t s = 0; s < work_.size(); ++s) {
-      total.wins += work_[s].tally.wins;
-      total.refused += work_[s].tally.refused;
-      if (const std::size_t n = window(s, j).second; n != 0) {
-        metrics_.record_shard_round_ops(n);
-      }
+    for (const ShardWork& w : work_) {
+      total.wins += w.tally.wins;
+      total.refused += w.tally.refused;
     }
     self().end_round();
     if (total.refused != 0) full_refusals_.fetch_add(total.refused, std::memory_order_relaxed);
@@ -397,9 +397,9 @@ class RoundEngine {
   int threads_;
   int team_;
   std::uint64_t shard_mask_;
-  std::size_t lanes_per_shard_;
-  RequestQueue& queue_;
-  ServeMetrics& metrics_;
+  std::size_t lanes_per_shard_;  // queue_ holds shard_count() of these blocks
+  RequestQueue queue_;
+  ServeMetrics metrics_;
   // One arbiter = one logical round id for every shard. Zero tags: per-key
   // arbitration lives in the backends' buckets, and CAS-LT needs no reset
   // sweep, so next_round(kNone) is one increment.
@@ -410,8 +410,6 @@ class RoundEngine {
   // Pump-private (only touched under pump_lock_).
   std::vector<ShardWork> work_;
   std::vector<std::uint64_t> writes_;  // this slice's writes per shard
-  std::vector<Record> scratch_;
-  std::uint64_t admit_ns_ = 0;
 
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> deadline_batches_{0};

@@ -45,6 +45,7 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -56,8 +57,8 @@
 #include <vector>
 
 #include "serve/config.hpp"
+#include "serve/round_engine.hpp"
 #include "serve/serve_session.hpp"
-#include "serve/service_backend.hpp"
 #include "serve/wire.hpp"
 #include "snap/checkpointer.hpp"
 
@@ -91,7 +92,8 @@ void close_fd(int fd);
 
 }  // namespace net
 
-template <ServiceBackend Backend>
+template <typename Backend>
+  requires std::derived_from<Backend, RoundEngine<Backend>>
 class BasicWireServer {
  public:
   /// The server borrows the session; the caller keeps it alive (and may

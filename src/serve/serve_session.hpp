@@ -1,8 +1,8 @@
 // BasicServeSession — the embeddable front door of src/serve, templated
-// over any ServiceBackend (service_backend.hpp).
+// over any RoundEngine backend (ShardedScheduler, stream::StreamScheduler).
 //
-// Owns the whole engine (queue → backend → table shards) and gives
-// clients three ways to drive it:
+// Owns the backend (whose round engine holds the queue, the metrics and
+// the table shards) and gives clients three ways to drive it:
 //   * submit(op, future) + wait(future): raw async, for callers running
 //     their own pump (poll()/flush()) or the background pump;
 //   * call(op): synchronous convenience — submits, then self-pumps until
@@ -11,9 +11,9 @@
 //   * start_pump()/stop_pump(): a background thread that polls on the
 //     deadline cadence — the "service" deployment shape.
 //
-// The session routes every submit through backend.route(key), which is
-// where lane→shard affinity happens: an op lands in a lane owned by its
-// key's shard, so the drained batch is shard-local without any re-sort.
+// Every submit goes through the engine's try_enqueue, which routes by key:
+// an op lands in a lane owned by its key's shard, so the drained batch is
+// shard-local without any re-sort.
 //
 // Ownership contract: OpFuture storage belongs to the client and must
 // stay pinned from submit until ready() (the engine holds a raw pointer
@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <thread>
@@ -30,23 +31,19 @@
 
 #include "serve/config.hpp"
 #include "serve/op.hpp"
-#include "serve/request_queue.hpp"
+#include "serve/round_engine.hpp"
 #include "serve/serve_metrics.hpp"
-#include "serve/service_backend.hpp"
 #include "serve/sharded_scheduler.hpp"
 #include "snap/checkpointer.hpp"
 
 namespace crcw::serve {
 
-template <ServiceBackend Backend>
+template <typename Backend>
+  requires std::derived_from<Backend, RoundEngine<Backend>>
 class BasicServeSession {
  public:
   explicit BasicServeSession(const ServeConfig& cfg = {})
-      : cfg_(cfg.validated()),
-        metrics_(cfg_.batch.counters),
-        queue_(Backend::queue_lanes(cfg_), cfg_.batch.resolved_lane_backlog(),
-               cfg_.batch.backoff_spins, cfg_.batch.sample_mask()),
-        backend_(cfg_, queue_, metrics_) {}
+      : cfg_(cfg.validated()), backend_(cfg_) {}
 
   BasicServeSession(const BasicServeSession&) = delete;
   BasicServeSession& operator=(const BasicServeSession&) = delete;
@@ -58,15 +55,14 @@ class BasicServeSession {
 
   // -- async client API -----------------------------------------------------
 
-  /// Re-arms `future` and admits `op` into its routed lane. A full lane
-  /// blocks but never deadlocks: the submitter helps pump (force-closing
-  /// a batch) until its lane has room, so even a pump-less session stays
-  /// live under arbitrary backlog.
+  /// Re-arms `future` and admits `op` into a lane of its key's shard. A
+  /// full lane blocks but never deadlocks: the submitter helps pump
+  /// (force-closing a batch) until its lane has room, so even a pump-less
+  /// session stays live under arbitrary backlog.
   void submit(const Op& op, OpFuture& future) {
     future.reset();
-    const std::size_t lane = backend_.route(op.key);
     BackoffState backoff(cfg_.batch.backoff_spins);
-    while (!queue_.try_enqueue(op, future, lane)) {
+    while (!backend_.try_enqueue(op, future)) {
       if (backend_.flush()) {
         backoff.reset();
       } else {
@@ -115,7 +111,7 @@ class BasicServeSession {
         backoff.reset();
         continue;
       }
-      if (queue_.pending() == 0) return;
+      if (backend_.pending() == 0) return;
       backoff.pause();
     }
   }
@@ -153,18 +149,16 @@ class BasicServeSession {
     return v == nullptr ? std::nullopt : std::optional<std::uint64_t>(*v);
   }
 
-  [[nodiscard]] std::uint64_t pending() const noexcept { return queue_.pending(); }
+  [[nodiscard]] std::uint64_t pending() const noexcept { return backend_.pending(); }
   [[nodiscard]] const ServeConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] ServeMetrics& metrics() noexcept { return metrics_; }
-  [[nodiscard]] const ServeMetrics& metrics() const noexcept { return metrics_; }
+  [[nodiscard]] ServeMetrics& metrics() noexcept { return backend_.metrics(); }
+  [[nodiscard]] const ServeMetrics& metrics() const noexcept { return backend_.metrics(); }
   [[nodiscard]] Backend& backend() noexcept { return backend_; }
   [[nodiscard]] const Backend& backend() const noexcept { return backend_; }
   [[nodiscard]] BackendStats stats() const noexcept { return backend_.stats(); }
 
  private:
   ServeConfig cfg_;
-  ServeMetrics metrics_;
-  RequestQueue queue_;
   Backend backend_;
   std::thread pump_;
   std::atomic<bool> pump_stop_{false};

@@ -1,9 +1,10 @@
-// ShardedScheduler — the key-value ServiceBackend: N ConcurrentHashMap
+// ShardedScheduler — the key-value serve backend: N ConcurrentHashMap
 // shards behind one logical CRCW round. `shards.count = 1` is the
 // one-table shape (ServeSession).
 //
-// Everything round-shaped (pump, triggers, routing, slicing, the two-phase
-// dispatch, cuts, stats) is the RoundEngine's (round_engine.hpp). This
+// Everything round-shaped (queue, routing, pump, triggers, slicing, the
+// two-phase dispatch, cuts, stats, metrics) is the RoundEngine's
+// (round_engine.hpp). This
 // backend keeps only its tables and what it does with one shard's window:
 //
 //   admission   the sentinel key, stream-vocabulary ops and snapshot kinds
@@ -16,10 +17,14 @@
 //               round) arbitration and the committed outcome never changes
 //               again within the round, so every op publishes the moment
 //               its write returns
-//   batch close each shard checks its own tombstone watermark and probe
-//               telemetry and rebuilds itself (maybe_reclaim_parallel): a
-//               churn-heavy shard shrinks while a hot one grows, with no
-//               global stop-the-world
+//   batch close each shard checks its own tombstone watermark and rebuilds
+//               itself (maybe_reclaim_parallel): a churn-heavy shard
+//               shrinks while a hot one grows, with no global stop-the-
+//               world. The probe-telemetry signal is passed along too,
+//               but it fires only when TableConfig::reclaim_probe_p99 or
+//               reclaim_fp_rate is set; both default to off and no serve
+//               bench, example or workload sets them, so the watermark
+//               alone decides
 #pragma once
 
 #include <algorithm>
@@ -38,7 +43,6 @@
 #include "serve/op.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/round_engine.hpp"
-#include "serve/serve_metrics.hpp"
 #include "snap/snapshot_file.hpp"
 #include "util/cacheline.hpp"
 
@@ -51,8 +55,7 @@ class ShardedScheduler : public RoundEngine<ShardedScheduler> {
   /// same-round upserts on one CAS.
   using Table = ds::ConcurrentHashMap<std::uint64_t, std::uint64_t>;
 
-  ShardedScheduler(const ServeConfig& cfg, RequestQueue& queue, ServeMetrics& metrics)
-      : RoundEngine(cfg, queue, metrics) {
+  explicit ShardedScheduler(const ServeConfig& cfg) : RoundEngine(cfg) {
     const ServeConfig& v = config();
     const int count = v.shards.count;
     const std::uint64_t per_shard_keys =

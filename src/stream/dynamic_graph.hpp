@@ -17,11 +17,13 @@
 // because probe chains are atomic words and nobody else touches those
 // buckets' values).
 //
-// The reclaim trigger is telemetry-driven when the table carries a site:
-// maybe_reclaim(threads) feeds the table's own probe-path observations
-// (probe p99, H2 false-positive rate) back into the signal overload, so a
-// churned edge table rebuilds as soon as walks degrade (hash_common.hpp,
-// ReclaimSignal).
+// The reclaim trigger is the tombstone watermark. maybe_reclaim(threads)
+// also feeds the table's own probe-path observations (probe p99, H2
+// false-positive rate) into the signal overload (hash_common.hpp,
+// ReclaimSignal), but that signal fires only when
+// HashConfig::reclaim_probe_p99 or reclaim_fp_rate is set; both default to
+// off and no stream bench, example or workload sets them, so in every
+// served edge table the watermark alone decides.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-// StreamScheduler — the streaming ServiceBackend: batched edge updates and
+// StreamScheduler — the streaming serve backend: batched edge updates and
 // incremental connectivity over ONE DynamicGraph + ONE IncrementalCc, on
 // the same RoundEngine (serve/round_engine.hpp) as the KV backend, so
 // BasicServeSession, BasicWireServer and WireClient drive it unchanged.
@@ -54,7 +54,6 @@
 #include "serve/op.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/round_engine.hpp"
-#include "serve/serve_metrics.hpp"
 #include "snap/cut.hpp"
 #include "snap/snapshot_file.hpp"
 #include "stream/dynamic_graph.hpp"
@@ -68,9 +67,8 @@ class StreamScheduler : public serve::RoundEngine<StreamScheduler> {
  public:
   using Table = DynamicGraph::Table;
 
-  StreamScheduler(const serve::ServeConfig& cfg, serve::RequestQueue& queue,
-                  serve::ServeMetrics& metrics)
-      : RoundEngine(cfg, queue, metrics),
+  explicit StreamScheduler(const serve::ServeConfig& cfg)
+      : RoundEngine(cfg),
         graph_(config().stream.vertices,
                config().stream.expected_edges != 0 ? config().stream.expected_edges
                                                    : config().table.expected_keys,
@@ -147,8 +145,8 @@ class StreamScheduler : public serve::RoundEngine<StreamScheduler> {
   [[nodiscard]] const DynamicGraph& graph() const noexcept { return graph_; }
   [[nodiscard]] IncrementalCc& cc() noexcept { return cc_; }
   [[nodiscard]] const IncrementalCc& cc() const noexcept { return cc_; }
-  /// Edge-table reclaim sweeps triggered at batch close (watermark- or
-  /// telemetry-driven).
+  /// Edge-table reclaim sweeps triggered at batch close (by the tombstone
+  /// watermark; see end_batch).
   [[nodiscard]] std::uint64_t reclaims() const noexcept {
     return reclaims_.load(std::memory_order_relaxed);
   }
@@ -295,8 +293,10 @@ class StreamScheduler : public serve::RoundEngine<StreamScheduler> {
     graph_.table().flush_round();
   }
 
-  /// The edge table reclaims when its tombstone watermark OR its own probe
-  /// telemetry says the churn has degraded walks.
+  /// The edge table reclaims when its tombstone watermark says the churn
+  /// has degraded walks. (The probe-telemetry signal fires only when
+  /// TableConfig::reclaim_probe_p99 or reclaim_fp_rate is set; both default
+  /// to off and no stream bench, example or workload sets them.)
   void end_batch() {
     if (graph_.maybe_reclaim(exec_threads())) {
       reclaims_.fetch_add(1, std::memory_order_relaxed);

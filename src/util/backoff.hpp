@@ -7,13 +7,16 @@
 // has demonstrably lost (oversubscription, preempted lock holder).
 //
 // Scope discipline: this belongs on genuine RETRY loops only — the
-// RequestQueue lane spinlocks, the serve pump's SpinLock and the
-// incremental-CC hook CAS (stream/incremental_cc.hpp). The CAS-LT claim
-// path must never see it: a (key, round) arbitration issues at most one
-// compare-exchange and its losers are done wait-free, so there is nothing
-// to retry and a pause would only add latency to a path the paper proves
-// contention-immune (serve/op.hpp's BackoffState covers the
-// admission-watermark wait, a different, higher-level concern).
+// RequestQueue lane spinlocks (try_enqueue and drain_lane_into), the serve
+// pump's SpinLock and the incremental-CC hook CAS
+// (stream/incremental_cc.hpp). The CAS-LT claim path must never see it: a
+// (key, round) arbitration issues at most one compare-exchange and its
+// losers are done wait-free, so there is nothing to retry and a pause
+// would only add latency to a path the paper proves contention-immune.
+// serve/op.hpp's BackoffState covers a different, higher-level concern:
+// waits at the serving edge — the session's (a lane at its watermark in
+// submit, a future in wait/call, another thread's pump in flush), a wire
+// handler closing its own batch, and the stream event engine's ring.
 #pragma once
 
 #include <atomic>

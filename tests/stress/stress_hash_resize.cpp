@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -137,13 +138,17 @@ TEST(StressHashResize, MapUpsertOneWinnerPerKeyAcrossGrows) {
 // every CAS it issues, so atomics must come to exceed wins (one per fresh
 // key); counting only the winning CASes would pin the two equal and
 // report zero failures under any contention. Every window gets a fresh
-// table, so memory stays flat; repeats are bounded, and the loop stops as
-// soon as a lost CAS has shown.
+// table, so memory stays flat. On a busy host the threads seldom overlap
+// inside one window, so windows keep coming until a lost CAS shows or a
+// wall-clock budget runs out (well inside the ctest TIMEOUT); the loss
+// branch itself is pinned deterministically by
+// TaggedBucket.ClaimThatLosesItsCasReportsTheWinner.
 TEST(StressHashResize, MapInsertFirstCountsLostClaimCases) {
   using Map = ds::ConcurrentHashMap<std::uint64_t, std::uint64_t>;
+  using Clock = std::chrono::steady_clock;
   constexpr int kThreads = 4;
   constexpr std::uint64_t kWindow = 4096;
-  const int repeats = scaled(200, 50);
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(30);
 
   ds::HashConfig cfg;
   cfg.telemetry = true;
@@ -153,10 +158,11 @@ TEST(StressHashResize, MapInsertFirstCountsLostClaimCases) {
   std::atomic<bool> stop{false};
   std::atomic<int> arrived{0};
   bool lost_seen = false;  // thread 0 only
+  int windows = 0;         // thread 0 only
   std::barrier sync(kThreads);
 
   run_barrier_threads(sync, kThreads, [&](int tid) {
-    for (int rep = 0; rep < repeats; ++rep) {
+    for (int rep = 0;; ++rep) {
       if (tid == 0) {
         map = std::make_unique<Map>(kWindow, cfg);
         inserted.store(0, std::memory_order_relaxed);
@@ -177,15 +183,17 @@ TEST(StressHashResize, MapInsertFirstCountsLostClaimCases) {
       sync.arrive_and_wait();
       // Thread 0 audits with EXPECT, not ASSERT: an early return would
       // leave the others spinning on `arrived` for a thread that is gone.
-      // Every thread stops together once the window is wrong or a lost
-      // CAS has been counted.
+      // Every thread stops together once the window is wrong, a lost CAS
+      // has been counted, or the budget is spent.
       if (tid == 0) {
         const obs::ContentionTotals t = map->telemetry().site()->totals();
         const std::uint64_t got = inserted.load(std::memory_order_relaxed);
         EXPECT_EQ(got, kWindow) << "one winner per fresh key, repeat " << rep;
         EXPECT_EQ(t.wins, kWindow);
         lost_seen = t.atomics > t.wins;
-        stop.store(got != kWindow || t.wins != kWindow || lost_seen,
+        windows = rep + 1;
+        const bool out_of_time = Clock::now() >= deadline;
+        stop.store(got != kWindow || t.wins != kWindow || lost_seen || out_of_time,
                    std::memory_order_relaxed);
       }
       sync.arrive_and_wait();
@@ -193,8 +201,8 @@ TEST(StressHashResize, MapInsertFirstCountsLostClaimCases) {
     }
   });
 
-  EXPECT_TRUE(lost_seen) << "no lost claim CAS counted in " << repeats
-                         << " contended windows";
+  EXPECT_TRUE(lost_seen) << "no lost claim CAS counted in " << windows
+                         << " contended windows (30 s)";
 }
 
 }  // namespace

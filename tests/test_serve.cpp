@@ -182,6 +182,27 @@ TEST(Serve, DeadlineTriggerClosesTrickleBatch) {
   EXPECT_TRUE(f.ready());
   EXPECT_TRUE(f.result().won);
   EXPECT_EQ(session.backend().deadline_batches(), 1u);
+
+  // An unstamped trickle op (latency sampling on, and not its turn) still
+  // closes its batch on the deadline: the lane's oldest-enqueue time falls
+  // back to a clock read of its own. The sampling tick is per thread and
+  // starts at 0, so a fresh client thread stamps its first op only.
+  cfg.batch.latency_sample_shift = 3;
+  OpFuture first, trickle;  // outlive `sampled`, whose destructor flushes
+  ServeSession sampled(cfg);
+  std::thread client([&] {
+    sampled.submit(Op::upsert(8, 80), first);
+    sampled.flush();
+    sampled.submit(Op::upsert(9, 90), trickle);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(sampled.poll());  // the unstamped op aged past max_wait_us
+    EXPECT_TRUE(trickle.ready());
+    EXPECT_TRUE(trickle.result().won);
+  });
+  client.join();
+  EXPECT_EQ(sampled.backend().deadline_batches(), 1u);  // the flush was forced
+  EXPECT_EQ(sampled.metrics().enqueue_to_admit().count(), 1u);  // only op 8 stamped
+  EXPECT_EQ(sampled.metrics().enqueue_to_commit().count(), 1u);
 }
 
 TEST(Serve, EraseArbitratesAndTombstones) {
@@ -296,42 +317,54 @@ TEST(Serve, BackgroundPumpServesConcurrentClients) {
 }
 
 TEST(Serve, MetricsHistogramsAndCountersFlow) {
+  // At latency_sample_shift k only every 2^k-th op per client thread is
+  // stamped, from the thread's first op on, and both histograms see
+  // exactly the stamped ops: ⌈N/2^k⌉ of N. The client runs on a fresh
+  // thread because the sampling tick is a per-thread counter that starts
+  // at 0.
   for (const int shards : kShardCounts) {
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    obs::MetricsRegistry local;
-    {
-      const obs::ScopedRegistry scoped(local);
-      ServeConfig cfg = ServeConfig{}.with_shards(shards);
-      cfg.batch.counters = true;
-      ServeSession session(cfg);
+    for (const int shift : {0, 3}) {
+      SCOPED_TRACE(testing::Message() << "shards=" << shards << " shift=" << shift);
+      constexpr std::uint64_t kOps = 17;
+      obs::MetricsRegistry local;
+      {
+        const obs::ScopedRegistry scoped(local);
+        ServeConfig cfg = ServeConfig{}.with_shards(shards);
+        cfg.batch.counters = true;
+        cfg.batch.latency_sample_shift = shift;
+        ServeSession session(cfg);
 
-      constexpr std::size_t kOps = 16;
-      std::vector<OpFuture> futures(kOps);
-      for (std::size_t i = 0; i < kOps; ++i) {
-        // Half contend on key 1, half are lookups.
-        session.submit(i % 2 == 0 ? Op::upsert(1, i) : Op::lookup(1), futures[i]);
+        std::vector<OpFuture> futures(kOps);
+        std::thread client([&] {
+          for (std::uint64_t i = 0; i < kOps; ++i) {
+            // Half contend on key 1, half are lookups.
+            session.submit(i % 2 == 0 ? Op::upsert(1, i) : Op::lookup(1), futures[i]);
+          }
+        });
+        client.join();
+        session.flush();
+
+        const std::uint64_t stamped = ((kOps - 1) >> shift) + 1;
+        const ServeMetrics& m = session.metrics();
+        EXPECT_EQ(m.enqueue_to_admit().count(), stamped);
+        EXPECT_EQ(m.enqueue_to_commit().count(), stamped);
+        EXPECT_GT(m.p99_enqueue_to_commit_ns(), 0u);
+        ASSERT_TRUE(m.counters_enabled());
       }
-      session.flush();
-
-      ServeMetrics& m = session.metrics();
-      EXPECT_EQ(m.enqueue_to_admit().count(), kOps);
-      EXPECT_EQ(m.enqueue_to_commit().count(), kOps);
-      EXPECT_GT(m.p99_enqueue_to_commit_ns(), 0u);
-      ASSERT_TRUE(m.counters_enabled());
+      // The serve site folded into the scoped registry on destruction:
+      // attempts = ops admitted, wins = write winners (one per (key,
+      // round)), refills = batches closed.
+      bool found = false;
+      for (const auto& [name, totals] : local.snapshot()) {
+        if (name != "serve") continue;
+        found = true;
+        EXPECT_EQ(totals.attempts, kOps);
+        EXPECT_EQ(totals.wins, 1u);
+        EXPECT_EQ(totals.refills, 1u);
+        EXPECT_EQ(totals.rounds, 1u);
+      }
+      EXPECT_TRUE(found);
     }
-    // The serve site folded into the scoped registry on destruction:
-    // attempts = ops admitted, wins = write winners (one per (key, round)),
-    // refills = batches closed.
-    bool found = false;
-    for (const auto& [name, totals] : local.snapshot()) {
-      if (name != "serve") continue;
-      found = true;
-      EXPECT_EQ(totals.attempts, 16u);
-      EXPECT_EQ(totals.wins, 1u);
-      EXPECT_EQ(totals.refills, 1u);
-      EXPECT_EQ(totals.rounds, 1u);
-    }
-    EXPECT_TRUE(found);
   }
 }
 
@@ -340,9 +373,9 @@ TEST(Serve, OldestNsClearsWhenLaneDrains) {
   // lane drains to empty. Before the fix, a drained lane kept reporting
   // its last op's timestamp until the next enqueue overwrote it, so the
   // deadline trigger could fire forever on an op that was already served.
-  RequestQueue queue(/*lanes=*/2, /*lane_backlog=*/64, /*backoff_spins=*/8);
+  RequestQueue queue(/*lanes=*/2, /*lane_backlog=*/64);
   OpFuture f;
-  ASSERT_TRUE(queue.try_enqueue(Op::upsert(1, 1), f, /*lane_hint=*/0));
+  ASSERT_TRUE(queue.try_enqueue(Op::upsert(1, 1), f, /*l=*/0));
   EXPECT_NE(queue.oldest_enqueue_ns(), 0u);
 
   std::vector<Record> drained;
@@ -352,7 +385,7 @@ TEST(Serve, OldestNsClearsWhenLaneDrains) {
 
   // A fresh enqueue (any lane) re-arms the advisory timestamp.
   OpFuture g;
-  ASSERT_TRUE(queue.try_enqueue(Op::upsert(2, 2), g, /*lane_hint=*/1));
+  ASSERT_TRUE(queue.try_enqueue(Op::upsert(2, 2), g, /*l=*/1));
   EXPECT_NE(queue.oldest_enqueue_ns(), 0u);
 }
 

@@ -27,6 +27,22 @@ TEST(TaggedBucket, FirstClaimWinsLaterClaimsClassify) {
   EXPECT_EQ(b.key(), 7u);                      // claim never overwrites
 }
 
+TEST(TaggedBucket, ClaimThatLosesItsCasReportsTheWinner) {
+  // The CAS-loss branch without a thread race: the on_cas callback runs
+  // after claim(7) saw the word empty and before its CAS, and claims the
+  // word for key 9 first, so the outer CAS fails and must classify the
+  // committed winner from the value the failed CAS loaded.
+  TaggedBucket<std::uint64_t> b;
+  int calls = 0;
+  const BucketClaim outer = b.claim(7, [&] {
+    ++calls;
+    EXPECT_EQ(b.claim(9), BucketClaim::kWon);
+  });
+  EXPECT_EQ(outer, BucketClaim::kOther);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(b.key(), 9u);
+}
+
 TEST(TaggedBucket, ResetReopensTheBucket) {
   TaggedBucket<std::uint64_t> b;
   ASSERT_EQ(b.claim(7), BucketClaim::kWon);
