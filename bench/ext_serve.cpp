@@ -106,8 +106,8 @@ struct ServeRunStats {
   // execute on the thread whose records are cache-hot instead of queueing
   // megabytes for a far-away drain (and p99 stays bounded by ~one batch).
   cfg.batch.lane_backlog = batch;
-  // Sample every 64th op into the latency histograms — two clock reads
-  // per op would dominate the admission fast path.
+  // Sample every 64th op into the latency histograms, so the admission
+  // fast path skips most enqueue clock reads.
   cfg.batch.latency_sample_shift = 6;
   cfg.table.expected_keys = n_keys / 2 + 2;
   cfg.shards.count = shards;

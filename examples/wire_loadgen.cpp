@@ -6,8 +6,7 @@
 //                      pipelined WireClients — the external-process load
 //                      generator bench/ext_serve.cpp spawns for its wire
 //                      sweep:
-//                        wire_loadgen --port 9000 --ops 65536 --threads 2 \
-//                                     --window 64 --mixed
+//                        wire_loadgen --port 9000 --ops 65536 --threads 2 --window 64 --mixed
 //                      Prints one summary line and exits 0 iff every op
 //                      completed and the read-your-writes audit held.
 //

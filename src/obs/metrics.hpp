@@ -22,6 +22,7 @@
 // wins).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -100,9 +101,20 @@ struct ContentionTotals {
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 65;
+  /// Plain per-bucket tallies: a hot path counts into its own array
+  /// (`++counts[bucket_index(v)]`) and folds it in with one add().
+  using Counts = std::array<std::uint64_t, kBuckets>;
 
   void record(std::uint64_t value) noexcept {
     buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+  }
+  /// Bulk add: counts[i] more samples in bucket i, one relaxed RMW per
+  /// non-zero bucket — so the shared buckets see one RMW per fold, not one
+  /// per sample.
+  void add(const Counts& counts) noexcept {
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      if (counts[i] != 0) buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
+    }
   }
 
   [[nodiscard]] static std::size_t bucket_index(std::uint64_t value) noexcept {

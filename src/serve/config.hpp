@@ -54,8 +54,10 @@ struct BatchConfig {
   /// Speculative spins before a blocked client/pump yields the core.
   int backoff_spins = 32;
   /// Latency-histogram sampling: every 2^shift-th op per client gets
-  /// timestamped and recorded (0 = every op). High-throughput deployments
-  /// set 4–8 to keep the two clock reads per op off the hot path; the
+  /// timestamped and recorded (0 = every op). A stamped op costs one clock
+  /// read at enqueue; the round engine stamps admits and commits once per
+  /// slice and shard pass, and folds its tallies into the histograms once
+  /// per round. A shift of 4–8 also skips most enqueue clock reads; the
   /// p99s are then estimates over the sampled subset.
   int latency_sample_shift = 0;
   /// Attach the `serve` ContentionSite — and, on the key-value backend,

@@ -16,13 +16,16 @@
 //   rounds of ≤ max_batch ops per shard.
 //   Per slice, ONE WriteArbiter round r for every shard:
 //
-//   serial prolog   latency sample; admission (rejects publish round()+1);
+//   serial prolog   enqueue→admit tallies against the slice's one clock
+//                   read; admission (rejects publish round()+1);
 //                   backlog reservation, parked while a cut is held
 //   ┌ omp for over shards: phase A — committed reads of rounds < r      ┐
 //   ├ implicit barrier — the cross-shard round boundary: no read of     │
 //   │   round r observes any round-r write, on its shard or any other   │
-//   └ omp for over shards: phase B — arbitrated writes + publish        ┘
-//   serial epilog   wins, kFull refusals, the backend's end_round
+//   │ omp for over shards: phase B — arbitrated writes + publish, then  │
+//   └   one clock read stamps the window's enqueue→commit tallies       ┘
+//   serial epilog   wins, kFull refusals, the backend's end_round, and the
+//                   round's latency tallies folded into the histograms
 //   batch close     the backend's end_batch (grow/reclaim maintenance),
 //                   skipped while a cut is held
 //
@@ -63,6 +66,7 @@
 #include "core/arbiter.hpp"
 #include "core/policies.hpp"
 #include "ds/hash_common.hpp"
+#include "obs/metrics.hpp"
 #include "serve/config.hpp"
 #include "serve/op.hpp"
 #include "serve/request_queue.hpp"
@@ -120,6 +124,14 @@ class RoundEngine {
 
   /// Approximate backlog (relaxed reads; exact once clients quiesce).
   [[nodiscard]] std::uint64_t pending() const noexcept { return queue_.pending(); }
+
+  /// When the deadline trigger fires next, in now_ns() time: the oldest
+  /// pending op's enqueue time plus max_wait_us; 0 with nothing pending
+  /// (advisory, like pending()). The background pump sleeps until then.
+  [[nodiscard]] std::uint64_t next_deadline_ns() const noexcept {
+    const std::uint64_t oldest = queue_.oldest_enqueue_ns();
+    return oldest == 0 ? 0 : oldest + cfg_.batch.max_wait_us * 1000;
+  }
 
   /// Runs one batch if an admission trigger fired (size or deadline).
   /// Returns true iff this call executed at least one round. Safe to call
@@ -218,20 +230,18 @@ class RoundEngine {
   /// between batches (the stream's capture_snapshot) takes it too.
   [[nodiscard]] util::SpinLock& pump_lock() noexcept { return pump_lock_; }
 
-  /// Completes one op, and samples its commit latency when it was stamped
-  /// at enqueue (see BatchConfig::latency_sample_shift).
-  void publish(const Record& rec, const Result& result) {
-    if (rec.enqueue_ns != 0) metrics_.record_commit(rec.enqueue_ns, now_ns());
-    rec.future->publish(result);
-  }
+  /// Completes one op. It reads no clock: write_shard stamps the commit
+  /// latency of the shard's whole window once, after its write pass.
+  void publish(const Record& rec, const Result& result) { rec.future->publish(result); }
 
  private:
   // One shard's pump-private working state. Padded so two shards' tallies
   // (written by different omp threads) never share a line.
   struct alignas(util::kCacheLineSize) ShardWork {
-    std::vector<Record> pending;  // drained this batch
-    std::uint64_t ops_total = 0;  // lifetime executed ops (pump-serial)
-    WriteTally tally;             // this slice (owning thread only)
+    std::vector<Record> pending;       // drained this batch
+    std::uint64_t ops_total = 0;       // lifetime executed ops (pump-serial)
+    WriteTally tally;                  // this slice (owning thread only)
+    obs::Histogram::Counts commits{};  // this slice's enqueue→commit tallies
   };
 
   [[nodiscard]] Backend& self() noexcept { return static_cast<Backend&>(*this); }
@@ -257,8 +267,8 @@ class RoundEngine {
     const std::uint64_t backlog = queue_.pending();
     if (backlog == 0) return false;
     if (backlog >= cfg_.batch.max_batch) return true;
-    const std::uint64_t oldest = queue_.oldest_enqueue_ns();
-    by_deadline = oldest != 0 && now_ns() - oldest >= cfg_.batch.max_wait_us * 1000;
+    const std::uint64_t due = next_deadline_ns();
+    by_deadline = due != 0 && now_ns() >= due;
     return by_deadline;
   }
 
@@ -316,17 +326,19 @@ class RoundEngine {
   void execute_slice(std::size_t j) {
     const std::uint64_t admit_ns = now_ns();
 
-    // Serial prolog: latency sample, admission, and the backlog
+    // Serial prolog: enqueue→admit tallies, admission, and the backlog
     // reservation (a grow runs its own OpenMP region, so it cannot live
     // inside the execution region below).
+    obs::Histogram::Counts admits{};
     std::uint64_t admitted = 0;
     for (std::size_t s = 0; s < work_.size(); ++s) {
       ShardWork& w = work_[s];
       w.tally = {};
+      w.commits = {};
       writes_[s] = 0;
       const auto [begin, n] = window(s, j);
       for (const Record& rec : std::span(w.pending).subspan(begin, n)) {
-        if (rec.enqueue_ns != 0) metrics_.record_admit(rec.enqueue_ns, admit_ns);
+        count_latency(admits, rec, admit_ns);
         switch (self().admit(rec.op)) {
           case Admit::kReject:
             publish(rec, Result{0, false, arbiter_.round() + 1});
@@ -369,14 +381,18 @@ class RoundEngine {
       }
     }
 
-    // Serial epilog.
+    // Serial epilog: the round's tallies, its latency samples folded into
+    // the shared histograms once.
     WriteTally total;
+    obs::Histogram::Counts commits{};
     for (const ShardWork& w : work_) {
       total.wins += w.tally.wins;
       total.refused += w.tally.refused;
+      for (std::size_t i = 0; i < commits.size(); ++i) commits[i] += w.commits[i];
     }
     self().end_round();
     if (total.refused != 0) full_refusals_.fetch_add(total.refused, std::memory_order_relaxed);
+    metrics_.add_latencies(admits, commits);
     metrics_.write_wins(total.wins);
     metrics_.flush_round();
   }
@@ -387,10 +403,26 @@ class RoundEngine {
     self().read_pass(s, work_[s].pending.data() + begin, n, r);
   }
 
+  /// Phase B over shard s's window, then one clock read stamps the commit
+  /// of every stamped record in it: each was published by now (rejects in
+  /// the prolog, reads in phase A, writes in this pass), so the sample is
+  /// an upper bound, late by at most this slice's passes.
   void write_shard(std::ptrdiff_t shard, std::size_t j, round_t r) {
     const auto s = static_cast<std::size_t>(shard);
     const auto [begin, n] = window(s, j);
-    work_[s].tally = self().write_pass(s, work_[s].pending.data() + begin, n, r);
+    ShardWork& w = work_[s];
+    const Record* records = w.pending.data() + begin;
+    w.tally = self().write_pass(s, records, n, r);
+    if (n == 0) return;
+    const std::uint64_t commit_ns = now_ns();
+    for (const Record& rec : std::span(records, n)) count_latency(w.commits, rec, commit_ns);
+  }
+
+  /// Counts a stamped record's latency up to `t`; unstamped ones (enqueue_ns
+  /// 0, see BatchConfig::latency_sample_shift) are skipped.
+  static void count_latency(obs::Histogram::Counts& counts, const Record& rec,
+                            std::uint64_t t) noexcept {
+    if (rec.enqueue_ns != 0) ++counts[obs::Histogram::bucket_index(t - rec.enqueue_ns)];
   }
 
   ServeConfig cfg_;

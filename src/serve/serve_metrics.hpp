@@ -1,9 +1,12 @@
 // ServeMetrics — the obs/ face of the serving layer.
 //
 // Two kinds of signal:
-//   * latency Histograms (always on — recording is one relaxed increment):
-//     enqueue→admit (queueing delay the admission policy controls) and
-//     the client-visible enqueue→commit whose p99 the bench reports;
+//   * latency Histograms (always on): enqueue→admit (queueing delay the
+//     admission policy controls) and the client-visible enqueue→commit
+//     whose p99 the bench reports. The round engine tallies a round's
+//     samples into plain bucket arrays and folds them in once per round
+//     (add_latencies), so no op pays an RMW on a shared bucket; totals
+//     are complete once the round's epilog has run;
 //   * an optional `serve` ContentionSite (BatchConfig::counters) mapping
 //     the engine onto the shared counter vocabulary:
 //       attempts   ops admitted into rounds
@@ -28,12 +31,11 @@ class ServeMetrics {
     if (counters) site_ = std::make_unique<obs::ContentionSite>("serve");
   }
 
-  // -- latency (hot path of the pump; any thread) ---------------------------
-  void record_admit(std::uint64_t enqueue_ns, std::uint64_t admit_ns) noexcept {
-    enqueue_to_admit_.record(admit_ns - enqueue_ns);
-  }
-  void record_commit(std::uint64_t enqueue_ns, std::uint64_t commit_ns) noexcept {
-    enqueue_to_commit_.record(commit_ns - enqueue_ns);
+  // -- latency (pump-serial: one fold per round) ---------------------------
+  void add_latencies(const obs::Histogram::Counts& admit,
+                     const obs::Histogram::Counts& commit) noexcept {
+    enqueue_to_admit_.add(admit);
+    enqueue_to_commit_.add(commit);
   }
 
   // -- counters (no-ops when the site is off) -------------------------------

@@ -8,8 +8,8 @@
 //   * call(op): synchronous convenience — submits, then self-pumps until
 //     the result lands, so a single-threaded caller never deadlocks
 //     waiting for a pump that does not exist;
-//   * start_pump()/stop_pump(): a background thread that polls on the
-//     deadline cadence — the "service" deployment shape.
+//   * start_pump()/stop_pump(): a background thread that sleeps until the
+//     oldest pending op's deadline — the "service" deployment shape.
 //
 // Every submit goes through the engine's try_enqueue, which routes by key:
 // an op lands in a lane owned by its key's shard, so the drained batch is
@@ -21,6 +21,11 @@
 // submitted op is ever left unpublished.
 #pragma once
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <concepts>
@@ -116,16 +121,30 @@ class BasicServeSession {
     }
   }
 
-  /// Starts the background pump: polls on the deadline cadence so batches
-  /// close by max_wait_us even with no client-side pumping. Idempotent.
+  /// Starts the background pump, so batches close by max_wait_us even with
+  /// no client-side pumping. After a poll that ran nothing it sleeps until
+  /// the engine's next deadline, or for an idle period of max_wait_us/2
+  /// with nothing pending; a deadline already past means another thread
+  /// holds the pump, so it backs off max_wait_us/16 instead of spinning.
+  /// On Linux its timer slack is 1 µs, so a wake lands on the deadline,
+  /// not the default 50 µs after it. Idempotent.
   void start_pump() {
     if (pump_.joinable()) return;
     pump_stop_.store(false, std::memory_order_relaxed);
     pump_ = std::thread([this] {
-      const auto idle_sleep = std::chrono::microseconds(
-          cfg_.batch.max_wait_us > 4 ? cfg_.batch.max_wait_us / 4 : 1);
+#ifdef __linux__
+      (void)prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);  // ns, this thread only
+#endif
+      const std::uint64_t idle_ns = cfg_.batch.max_wait_us * 1000 / 2;
+      const std::uint64_t busy_ns =
+          std::max<std::uint64_t>(cfg_.batch.max_wait_us * 1000 / 16, 1000);
       while (!pump_stop_.load(std::memory_order_relaxed)) {
-        if (!backend_.submit_batch()) std::this_thread::sleep_for(idle_sleep);
+        if (backend_.submit_batch()) continue;
+        const std::uint64_t due = backend_.next_deadline_ns();
+        const std::uint64_t now = now_ns();
+        const std::uint64_t sleep_ns =
+            due == 0 ? idle_ns : (due > now ? std::min(due - now, idle_ns) : busy_ns);
+        std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
       }
     });
   }

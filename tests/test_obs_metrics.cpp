@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 
 namespace obs = crcw::obs;
 
@@ -43,6 +44,30 @@ TEST(Histogram, RecordCountQuantile) {
   EXPECT_EQ(h.quantile_upper_bound(0.99), 1023u);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
+}
+
+TEST(Histogram, AddFoldsPlainCountsLikeRecord) {
+  // The bulk add a per-round tally folds in through: bucket for bucket the
+  // same histogram as one record() per sample, and an all-zero fold is a
+  // no-op.
+  constexpr std::uint64_t kValues[] = {0, 1, 1, 3, 1000, 1000, 1u << 20, ~std::uint64_t{0}};
+  obs::Histogram recorded;
+  obs::Histogram folded;
+  obs::Histogram::Counts counts{};
+  for (const std::uint64_t v : kValues) {
+    recorded.record(v);
+    ++counts[obs::Histogram::bucket_index(v)];
+  }
+  folded.record(5);
+  folded.add(counts);
+  folded.add(obs::Histogram::Counts{});
+  EXPECT_EQ(folded.count(), std::size(kValues) + 1);
+  for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
+    const std::uint64_t extra = i == obs::Histogram::bucket_index(5) ? 1 : 0;
+    EXPECT_EQ(folded.bucket(i), recorded.bucket(i) + extra) << "bucket " << i;
+  }
+  EXPECT_EQ(folded.bucket(obs::Histogram::bucket_index(1000)), 2u);
+  EXPECT_EQ(folded.bucket(64), 1u);
 }
 
 TEST(ContentionSite, CountsAndTotals) {

@@ -319,52 +319,98 @@ TEST(Serve, BackgroundPumpServesConcurrentClients) {
 TEST(Serve, MetricsHistogramsAndCountersFlow) {
   // At latency_sample_shift k only every 2^k-th op per client thread is
   // stamped, from the thread's first op on, and both histograms see
-  // exactly the stamped ops: ⌈N/2^k⌉ of N. The client runs on a fresh
-  // thread because the sampling tick is a per-thread counter that starts
-  // at 0.
-  for (const int shards : kShardCounts) {
-    for (const int shift : {0, 3}) {
-      SCOPED_TRACE(testing::Message() << "shards=" << shards << " shift=" << shift);
-      constexpr std::uint64_t kOps = 17;
-      obs::MetricsRegistry local;
-      {
-        const obs::ScopedRegistry scoped(local);
-        ServeConfig cfg = ServeConfig{}.with_shards(shards);
-        cfg.batch.counters = true;
-        cfg.batch.latency_sample_shift = shift;
-        ServeSession session(cfg);
+  // exactly the stamped ops: ⌈N/2^k⌉ of N. The round engine tallies them
+  // per round and folds the tallies in at the round's epilog, so a stamped
+  // admission reject counts once, and so does every op of a drain larger
+  // than max_batch, whose batch runs as several rounds. The client runs on
+  // a fresh thread because the sampling tick is a per-thread counter that
+  // starts at 0.
+  struct Case {
+    const char* name;
+    std::uint64_t max_batch;
+    bool reject_last;      // the last op uses the sentinel key
+    std::uint64_t rounds;  // one winner per round: all writes hit key 1
+  };
+  constexpr std::uint64_t kOps = 17;
+  constexpr Case kCases[] = {
+      {"one round", 4096, false, 1},
+      {"admission reject", 4096, true, 1},
+      {"sliced drain", 4, false, (kOps + 3) / 4},
+  };
+  for (const Case& c : kCases) {
+    for (const int shards : kShardCounts) {
+      for (const int shift : {0, 3}) {
+        SCOPED_TRACE(testing::Message() << c.name << " shards=" << shards << " k=" << shift);
+        obs::MetricsRegistry local;
+        {
+          const obs::ScopedRegistry scoped(local);
+          ServeConfig cfg = ServeConfig{}.with_shards(shards).with_max_batch(c.max_batch);
+          cfg.batch.counters = true;
+          cfg.batch.latency_sample_shift = shift;
+          ServeSession session(cfg);
 
-        std::vector<OpFuture> futures(kOps);
-        std::thread client([&] {
-          for (std::uint64_t i = 0; i < kOps; ++i) {
-            // Half contend on key 1, half are lookups.
-            session.submit(i % 2 == 0 ? Op::upsert(1, i) : Op::lookup(1), futures[i]);
-          }
-        });
-        client.join();
-        session.flush();
+          std::vector<OpFuture> futures(kOps);
+          std::thread client([&] {
+            for (std::uint64_t i = 0; i < kOps; ++i) {
+              // Half contend on key 1, half are lookups.
+              Op op = i % 2 == 0 ? Op::upsert(1, i) : Op::lookup(1);
+              if (c.reject_last && i + 1 == kOps) op = Op::upsert(~std::uint64_t{0}, i);
+              session.submit(op, futures[i]);
+            }
+          });
+          client.join();
+          session.flush();
 
-        const std::uint64_t stamped = ((kOps - 1) >> shift) + 1;
-        const ServeMetrics& m = session.metrics();
-        EXPECT_EQ(m.enqueue_to_admit().count(), stamped);
-        EXPECT_EQ(m.enqueue_to_commit().count(), stamped);
-        EXPECT_GT(m.p99_enqueue_to_commit_ns(), 0u);
-        ASSERT_TRUE(m.counters_enabled());
+          const std::uint64_t stamped = ((kOps - 1) >> shift) + 1;
+          const ServeMetrics& m = session.metrics();
+          EXPECT_EQ(m.enqueue_to_admit().count(), stamped);
+          EXPECT_EQ(m.enqueue_to_commit().count(), stamped);
+          EXPECT_GT(m.p99_enqueue_to_commit_ns(), 0u);
+          ASSERT_TRUE(m.counters_enabled());
+        }
+        // The serve site folded into the scoped registry on destruction:
+        // attempts = ops admitted, wins = write winners (one per (key,
+        // round)), refills = batches closed.
+        bool found = false;
+        for (const auto& [name, totals] : local.snapshot()) {
+          if (name != "serve") continue;
+          found = true;
+          EXPECT_EQ(totals.attempts, kOps);
+          EXPECT_EQ(totals.wins, c.rounds);
+          EXPECT_EQ(totals.refills, 1u);
+          EXPECT_EQ(totals.rounds, c.rounds);
+        }
+        EXPECT_TRUE(found);
       }
-      // The serve site folded into the scoped registry on destruction:
-      // attempts = ops admitted, wins = write winners (one per (key,
-      // round)), refills = batches closed.
-      bool found = false;
-      for (const auto& [name, totals] : local.snapshot()) {
-        if (name != "serve") continue;
-        found = true;
-        EXPECT_EQ(totals.attempts, kOps);
-        EXPECT_EQ(totals.wins, 1u);
-        EXPECT_EQ(totals.refills, 1u);
-        EXPECT_EQ(totals.rounds, 1u);
-      }
-      EXPECT_TRUE(found);
     }
+  }
+}
+
+TEST(Serve, NextDeadlineIsOldestEnqueuePlusMaxWait) {
+  // The background pump sleeps until this deadline: 0 with nothing
+  // pending, the oldest pending op's enqueue time plus max_wait_us while
+  // ops wait (a later op does not move it), and 0 again once drained.
+  for (const int shards : kShardCounts) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    ServeSession session(ServeConfig{}.with_shards(shards).with_max_wait_us(250));
+    const auto& engine = session.backend();
+    EXPECT_EQ(engine.next_deadline_ns(), 0u);
+
+    OpFuture first, second;
+    const std::uint64_t before = now_ns();
+    session.submit(Op::upsert(1, 10), first);
+    const std::uint64_t after = now_ns();
+    const std::uint64_t due = engine.next_deadline_ns();
+    EXPECT_GE(due, before + 250'000);
+    EXPECT_LE(due, after + 250'000);
+
+    session.submit(Op::upsert(2, 20), second);
+    EXPECT_EQ(engine.next_deadline_ns(), due);
+
+    session.flush();
+    EXPECT_TRUE(first.ready());
+    EXPECT_TRUE(second.ready());
+    EXPECT_EQ(engine.next_deadline_ns(), 0u);
   }
 }
 
