@@ -21,11 +21,11 @@ void check_tree_shape(const Csr& tree) {
   if (tree.num_edges() != 2 * (n - 1)) {
     throw std::invalid_argument("tree_ops: expected exactly 2(n-1) directed slots");
   }
+  if (!tree.sorted()) {
+    throw std::invalid_argument("tree_ops: adjacency must be sorted (build_csr default)");
+  }
   for (vertex_t v = 0; v < n; ++v) {
     const auto adj = tree.neighbors(v);
-    if (!std::is_sorted(adj.begin(), adj.end())) {
-      throw std::invalid_argument("tree_ops: adjacency must be sorted (build_csr default)");
-    }
     for (std::size_t i = 0; i < adj.size(); ++i) {
       if (adj[i] == v) throw std::invalid_argument("tree_ops: self-loop");
       if (i > 0 && adj[i] == adj[i - 1]) {

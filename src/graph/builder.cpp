@@ -3,12 +3,53 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace crcw::graph {
+namespace detail {
+
+void sort_list(std::span<vertex_t> list, int bits, std::vector<vertex_t>& scratch) {
+  const std::size_t len = list.size();
+  if (len < kRadixMinList) {
+    std::sort(list.begin(), list.end());
+    return;
+  }
+  constexpr int kDigitBits = 8;
+  constexpr vertex_t kDigitMask = (1u << kDigitBits) - 1;
+  const int digits = (bits + kDigitBits - 1) / kDigitBits;
+  // One read fills every digit's histogram; counts are list-sized.
+  std::array<std::array<std::size_t, kDigitMask + 1>, 4> count{};
+  for (const vertex_t v : list) {
+    for (int d = 0; d < digits; ++d) ++count[d][(v >> (d * kDigitBits)) & kDigitMask];
+  }
+  if (scratch.size() < len) scratch.resize(len);
+  vertex_t* from = list.data();
+  vertex_t* to = scratch.data();
+  for (int d = 0; d < digits; ++d) {
+    const int shift = d * kDigitBits;
+    auto& cursor = count[d];
+    // A digit that every slot shares leaves the order as it is.
+    if (cursor[(from[0] >> shift) & kDigitMask] == len) continue;
+    std::size_t run = 0;
+    for (std::size_t& c : cursor) run += std::exchange(c, run);
+    for (std::size_t i = 0; i < len; ++i) {
+      const vertex_t v = from[i];
+      to[cursor[(v >> shift) & kDigitMask]++] = v;
+    }
+    std::swap(from, to);
+  }
+  if (from != list.data()) std::copy_n(from, len, list.data());
+}
+
+}  // namespace detail
+
 namespace {
 
 /// Vertices per dynamic grab in the per-list sort: list lengths differ by
@@ -112,8 +153,10 @@ Csr build(std::uint64_t n, const EdgeList& edges, const BuildOptions& opts) {
 
   // Scatter straight from the edge list, both directions of an edge in one
   // pass. A block writes its slots of a list in edge-list order behind the
-  // earlier blocks', so every list is in edge-list order.
-  std::vector<vertex_t> targets(offsets[n]);
+  // earlier blocks', so every list is in edge-list order. The scatter
+  // writes every slot of the unwritten targets, so its threads are the
+  // ones that fault the pages in.
+  Csr::Targets targets(offsets[n]);
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (std::int64_t b = 0; b < nb; ++b) {
     Count* const cursor = count.get() + static_cast<std::uint64_t>(b) * n;
@@ -126,28 +169,44 @@ Csr build(std::uint64_t n, const EdgeList& edges, const BuildOptions& opts) {
   }
   count.reset();
 
-  if (!opts.sort_neighbors && !opts.dedup) return Csr(std::move(offsets), std::move(targets));
+  if (!opts.sort_neighbors && !opts.dedup) {
+    return Csr(std::move(offsets), std::move(targets), threads);
+  }
 
   // Sort each list; when deduplicating, kept[u + 1] takes list u's length
-  // after unique, and a scan makes it the compacted offsets.
+  // after unique, and a scan makes it the compacted offsets. A thread's
+  // radix scratch grows to the longest list it sorts; a throw must not
+  // leave the parallel region, so a failed allocation is rethrown after it.
+  const int bits = n > 1 ? static_cast<int>(std::bit_width(n - 1)) : 0;
   std::vector<edge_t> kept(opts.dedup ? n + 1 : 0, 0);
-#pragma omp parallel for num_threads(threads) schedule(dynamic, kListChunk)
-  for (std::int64_t u = 0; u < nv; ++u) {
-    vertex_t* const begin = targets.data() + offsets[u];
-    vertex_t* const end = targets.data() + offsets[u + 1];
-    std::sort(begin, end);
-    if (opts.dedup) kept[u + 1] = static_cast<edge_t>(std::unique(begin, end) - begin);
+  std::exception_ptr failure;
+#pragma omp parallel num_threads(threads)
+  {
+    std::vector<vertex_t> scratch;
+#pragma omp for schedule(dynamic, kListChunk)
+    for (std::int64_t u = 0; u < nv; ++u) {
+      vertex_t* const begin = targets.data() + offsets[u];
+      vertex_t* const end = targets.data() + offsets[u + 1];
+      try {
+        detail::sort_list({begin, end}, bits, scratch);
+      } catch (...) {
+#pragma omp critical(crcw_graph_sort_failure)
+        failure = std::current_exception();
+      }
+      if (opts.dedup) kept[u + 1] = static_cast<edge_t>(std::unique(begin, end) - begin);
+    }
   }
-  if (!opts.dedup) return Csr(std::move(offsets), std::move(targets));
+  if (failure) std::rethrow_exception(failure);
+  if (!opts.dedup) return Csr(std::move(offsets), std::move(targets), threads);
 
   inclusive_scan(kept.data() + 1, n, threads);
-  std::vector<vertex_t> unique_targets(kept[n]);
+  Csr::Targets unique_targets(kept[n]);
 #pragma omp parallel for num_threads(threads) schedule(dynamic, kListChunk)
   for (std::int64_t u = 0; u < nv; ++u) {
     std::copy_n(targets.data() + offsets[u], kept[u + 1] - kept[u],
                 unique_targets.data() + kept[u]);
   }
-  return Csr(std::move(kept), std::move(unique_targets));
+  return Csr(std::move(kept), std::move(unique_targets), threads);
 }
 
 }  // namespace

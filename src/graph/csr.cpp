@@ -1,43 +1,68 @@
 #include "graph/csr.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <stdexcept>
 #include <string>
 
 namespace crcw::graph {
+namespace {
 
-Csr::Csr(std::vector<edge_t> offsets, std::vector<vertex_t> targets)
-    : offsets_(std::move(offsets)), targets_(std::move(targets)) {
+/// Vertices per dynamic grab in the list pass (list lengths are skewed).
+constexpr std::int64_t kListChunk = 256;
+
+}  // namespace
+
+Csr::Csr(std::vector<edge_t> offsets, Targets targets, int threads)
+    : offsets_(std::move(offsets)), targets_(std::move(targets)), sorted_(check(threads)) {}
+
+void Csr::validate() const { (void)check(0); }
+
+bool Csr::check(int threads) const {
   if (offsets_.empty()) {
     if (!targets_.empty()) throw std::invalid_argument("CSR: targets without offsets");
-    return;
-  }
-  validate();
-}
-
-void Csr::validate() const {
-  if (offsets_.empty()) {
-    if (!targets_.empty()) throw std::invalid_argument("CSR: targets without offsets");
-    return;
+    return true;
   }
   if (offsets_.front() != 0) throw std::invalid_argument("CSR: offsets[0] != 0");
   if (offsets_.back() != targets_.size()) {
     throw std::invalid_argument("CSR: offsets back " + std::to_string(offsets_.back()) +
                                 " != edge count " + std::to_string(targets_.size()));
   }
-  for (std::size_t i = 1; i < offsets_.size(); ++i) {
-    if (offsets_[i] < offsets_[i - 1]) {
-      throw std::invalid_argument("CSR: offsets not monotone at vertex " +
-                                  std::to_string(i - 1));
-    }
+  // Both scans are min-reductions of the first bad index, so the message
+  // names the same vertex or slot at every team size.
+  if (threads <= 0) threads = omp_get_max_threads();
+  const auto nv = static_cast<std::int64_t>(num_vertices());
+  std::int64_t bad_vertex = nv;
+#pragma omp parallel for num_threads(threads) schedule(static) reduction(min : bad_vertex)
+  for (std::int64_t v = 0; v < nv; ++v) {
+    if (offsets_[v + 1] < offsets_[v]) bad_vertex = std::min(bad_vertex, v);
   }
+  if (bad_vertex < nv) {
+    throw std::invalid_argument("CSR: offsets not monotone at vertex " +
+                                std::to_string(bad_vertex));
+  }
+
+  // One pass per list, over lists whose lengths differ by orders of
+  // magnitude on skewed graphs: range and order together.
   const auto n = static_cast<vertex_t>(num_vertices());
-  for (std::size_t e = 0; e < targets_.size(); ++e) {
-    if (targets_[e] >= n) {
-      throw std::invalid_argument("CSR: edge " + std::to_string(e) + " targets vertex " +
-                                  std::to_string(targets_[e]) + " >= " + std::to_string(n));
-    }
+  edge_t bad_slot = targets_.size();
+  bool ascending = true;
+#pragma omp parallel for num_threads(threads) schedule(dynamic, kListChunk) \
+    reduction(min : bad_slot) reduction(&& : ascending)
+  for (std::int64_t v = 0; v < nv; ++v) {
+    const auto list = neighbors(static_cast<vertex_t>(v));
+    const auto out =
+        std::find_if(list.begin(), list.end(), [n](vertex_t t) { return t >= n; });
+    if (out != list.end()) bad_slot = std::min(bad_slot, offsets_[v] + (out - list.begin()));
+    ascending = ascending && std::is_sorted(list.begin(), list.end());
   }
+  if (bad_slot < targets_.size()) {
+    throw std::invalid_argument("CSR: edge " + std::to_string(bad_slot) + " targets vertex " +
+                                std::to_string(targets_[bad_slot]) + " >= " +
+                                std::to_string(n));
+  }
+  return ascending;
 }
 
 vertex_t Csr::source_of(edge_t slot) const {
@@ -53,9 +78,7 @@ vertex_t Csr::source_of(edge_t slot) const {
 
 bool Csr::has_edge(vertex_t u, vertex_t v) const {
   const auto adj = neighbors(u);
-  if (std::is_sorted(adj.begin(), adj.end())) {
-    return std::binary_search(adj.begin(), adj.end(), v);
-  }
+  if (sorted_) return std::binary_search(adj.begin(), adj.end(), v);
   return std::find(adj.begin(), adj.end(), v) != adj.end();
 }
 

@@ -8,6 +8,8 @@
 #include <span>
 #include <vector>
 
+#include "util/default_init_allocator.hpp"
+
 namespace crcw::graph {
 
 using vertex_t = std::uint32_t;
@@ -31,11 +33,18 @@ using EdgeList = std::vector<Edge>;
 /// (2× the undirected edge count).
 class Csr {
  public:
+  /// The target array. Its allocator default-initialises, so sizing one
+  /// writes nothing: the code that fills it (the builder's parallel
+  /// scatter, a reader) is the first to touch its pages. Every slot must be
+  /// written before it is read.
+  using Targets = std::vector<vertex_t, util::DefaultInitAllocator<vertex_t>>;
+
   Csr() = default;
 
-  /// Takes ownership of a validated offsets/targets pair.
+  /// Takes ownership of an offsets/targets pair and validates it on
+  /// `threads` OpenMP threads (0 = ambient setting).
   /// Throws std::invalid_argument when the arrays are inconsistent.
-  Csr(std::vector<edge_t> offsets, std::vector<vertex_t> targets);
+  Csr(std::vector<edge_t> offsets, Targets targets, int threads = 0);
 
   [[nodiscard]] std::uint64_t num_vertices() const noexcept {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -63,12 +72,20 @@ class Csr {
   /// std::out_of_range when slot >= num_edges().
   [[nodiscard]] vertex_t source_of(edge_t slot) const;
 
-  /// True iff the directed edge (u → v) exists (binary search if sorted,
-  /// linear otherwise). For verifying BFS parents.
+  /// True iff every adjacency list ascends (ties allowed), as
+  /// build_csr's lists do unless sort_neighbors and dedup are both off.
+  /// Recorded by the constructor's validation pass.
+  [[nodiscard]] bool sorted() const noexcept { return sorted_; }
+
+  /// True iff the directed edge (u → v) exists: a binary search of u's
+  /// list when sorted(), a linear scan otherwise. For verifying BFS
+  /// parents.
   [[nodiscard]] bool has_edge(vertex_t u, vertex_t v) const;
 
-  /// Structural invariants: monotone offsets, in-range targets.
-  /// Throws std::invalid_argument with a description on failure.
+  /// Structural invariants: monotone offsets, in-range targets, checked
+  /// by two parallel scans on the ambient OpenMP team. Throws
+  /// std::invalid_argument on failure, naming the first non-monotone
+  /// vertex or the first out-of-range slot at every team size.
   void validate() const;
 
   [[nodiscard]] std::uint64_t max_degree() const;
@@ -77,8 +94,13 @@ class Csr {
   friend bool operator==(const Csr&, const Csr&) = default;
 
  private:
-  std::vector<edge_t> offsets_;    // size n+1; offsets_[n] == m
-  std::vector<vertex_t> targets_;  // size m
+  /// validate() on `threads` threads (0 = ambient), returning whether
+  /// every list ascends.
+  [[nodiscard]] bool check(int threads) const;
+
+  std::vector<edge_t> offsets_;  // size n+1; offsets_[n] == m
+  Targets targets_;              // size m
+  bool sorted_ = true;
 };
 
 }  // namespace crcw::graph

@@ -37,17 +37,17 @@ T read_pod(std::istream& is) {
   return value;
 }
 
-/// Reads `count` Ts in chunks of kReadChunk, growing the array only by what
-/// arrived.
-template <typename T>
-std::vector<T> read_array(std::istream& is, std::uint64_t count, const char* field) {
-  std::vector<T> out;
+/// Reads `count` elements into a `Vector` in chunks of kReadChunk, growing
+/// the array only by what arrived.
+template <typename Vector>
+Vector read_array(std::istream& is, std::uint64_t count, const char* field) {
+  Vector out;
   while (out.size() < count) {
     const std::uint64_t step = std::min<std::uint64_t>(kReadChunk, count - out.size());
     const std::size_t at = out.size();
     out.resize(at + step);
     is.read(reinterpret_cast<char*>(out.data() + at),
-            static_cast<std::streamsize>(step * sizeof(T)));
+            static_cast<std::streamsize>(step * sizeof(typename Vector::value_type)));
     if (!is) throw std::runtime_error(std::string("binary CSR: truncated ") + field);
   }
   return out;
@@ -176,8 +176,8 @@ Csr read_csr_binary(std::istream& is) {
   const auto m = read_pod<std::uint64_t>(is);
   if (n > kNoVertex) throw std::runtime_error("binary CSR: " + too_big("vertex count", n));
 
-  auto offsets = read_array<edge_t>(is, n + 1, "offsets");
-  auto targets = read_array<vertex_t>(is, m, "targets");
+  auto offsets = read_array<std::vector<edge_t>>(is, n + 1, "offsets");
+  auto targets = read_array<Csr::Targets>(is, m, "targets");
   try {
     return Csr(std::move(offsets), std::move(targets));
   } catch (const std::invalid_argument& e) {
@@ -245,7 +245,7 @@ RodiniaGraph read_rodinia(std::istream& is) {
   if (m != end) throw fail("edge count disagrees with node records");
   offsets.push_back(m);
 
-  std::vector<vertex_t> targets;
+  Csr::Targets targets;
   targets.reserve(std::min(m, kReadChunk));
   out.costs.reserve(std::min(m, kReadChunk));
   for (std::uint64_t e = 0; e < m; ++e) {

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.hpp"
 
@@ -82,6 +86,75 @@ TEST(Builder, PreservesMultigraphWhenNotDeduping) {
   EXPECT_EQ(g.degree(0), 2u);
 }
 
+// ---- the per-list sort is std::sort -------------------------------------
+
+/// Sorts a copy of `list` with detail::sort_list through `scratch` and
+/// expects std::sort's result.
+void expect_sorts_like_std(std::vector<vertex_t> list, int bits,
+                           std::vector<vertex_t>& scratch) {
+  std::vector<vertex_t> want = list;
+  std::sort(want.begin(), want.end());
+  detail::sort_list(list, bits, scratch);
+  EXPECT_EQ(list, want);
+}
+
+std::vector<vertex_t> random_list(std::size_t len, int bits, std::mt19937_64& rng) {
+  const std::uint64_t bound = std::uint64_t{1} << bits;
+  std::vector<vertex_t> list(len);
+  for (vertex_t& v : list) v = static_cast<vertex_t>(rng() % bound);
+  return list;
+}
+
+TEST(SortList, MatchesStdSortAtEveryBitWidthAndAroundTheCutOver) {
+  static_assert(detail::kRadixMinList == 32);
+  std::mt19937_64 rng(17);
+  std::vector<vertex_t> scratch;
+  for (int bits = 1; bits <= 32; ++bits) {
+    for (const std::size_t len : std::vector<std::size_t>{31, 32, 33, 4099}) {
+      SCOPED_TRACE("bits " + std::to_string(bits) + ", length " + std::to_string(len));
+      expect_sorts_like_std(random_list(len, bits, rng), bits, scratch);
+    }
+  }
+  // The scratch grew to the longest radix-sorted list and no further.
+  EXPECT_EQ(scratch.size(), 4099u);
+}
+
+TEST(SortList, AllEqualListSkipsEveryDigit) {
+  std::vector<vertex_t> scratch;
+  for (const vertex_t v : {0u, 7u, 0x00ABCDEFu, 0xFFFFFFFEu}) {
+    SCOPED_TRACE("value " + std::to_string(v));
+    expect_sorts_like_std(std::vector<vertex_t>(1000, v), 32, scratch);
+  }
+}
+
+TEST(SortList, ListsThatDifferOnlyInTheTopDigit) {
+  std::mt19937_64 rng(23);
+  std::vector<vertex_t> scratch;
+  // 32 bits: the top digit is bits 24-31. 20 bits: it is bits 16-19.
+  for (const auto& [bits, low] : {std::pair{32, 0x00ABCDEFu}, std::pair{20, 0x0000BEEFu}}) {
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    const int top_shift = (bits - 1) / 8 * 8;
+    const std::uint64_t top_values = std::uint64_t{1} << (bits - top_shift);
+    std::vector<vertex_t> list(3000);
+    for (vertex_t& v : list) {
+      v = static_cast<vertex_t>((rng() % top_values) << top_shift) | low;
+    }
+    expect_sorts_like_std(list, bits, scratch);
+  }
+}
+
+TEST(SortList, DuplicateHeavyLists) {
+  std::mt19937_64 rng(29);
+  std::vector<vertex_t> scratch;
+  const std::vector<vertex_t> values = {3, 3, 70000, 1u << 20, 0xFFFFFFFEu, 12};
+  for (const std::size_t len : {std::size_t{33}, std::size_t{5000}}) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    std::vector<vertex_t> list(len);
+    for (vertex_t& v : list) v = values[rng() % values.size()];
+    expect_sorts_like_std(list, 32, scratch);
+  }
+}
+
 // ---- the parallel build is the serial build, byte for byte -------------
 
 /// The serial builder the parallel one replaced: copy every directed slot
@@ -97,13 +170,13 @@ Csr serial_build(std::uint64_t n, const EdgeList& edges, const BuildOptions& opt
   std::vector<edge_t> offsets(n + 1, 0);
   for (const auto& e : slots) ++offsets[e.u + 1];
   for (std::uint64_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  std::vector<vertex_t> targets(slots.size());
+  Csr::Targets targets(slots.size());
   std::vector<edge_t> cursor(offsets.begin(), offsets.end() - 1);
   for (const auto& e : slots) targets[cursor[e.u]++] = e.v;
   if (!opts.sort_neighbors && !opts.dedup) return Csr(std::move(offsets), std::move(targets));
 
   std::vector<edge_t> out_offsets(n + 1, 0);
-  std::vector<vertex_t> out_targets;
+  Csr::Targets out_targets;
   for (std::uint64_t v = 0; v < n; ++v) {
     std::vector<vertex_t> list(targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
                                targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
@@ -160,8 +233,24 @@ const std::vector<BuildCase>& build_cases() {
     for (int copy = 0; copy < 3; ++copy) {
       stars.insert(stars.end(), star_edges.begin(), star_edges.end());
     }
+    // n is not a power of two and needs three radix digits (17 bits):
+    // G(n, m) lists, 200 lists of 40+ slots, and a hub whose 5,000 slots
+    // reach the top digit and repeat (duplicates for dedup).
+    constexpr std::uint64_t kOddVertices = 100'003;
+    EdgeList odd = gnm(kOddVertices, 300'000, 13);
+    for (std::uint64_t v = 0; v < 200; ++v) {
+      for (std::uint64_t k = 0; k < 40; ++k) {
+        const auto w = static_cast<vertex_t>((v * 131 + k * 977 + 1) % kOddVertices);
+        odd.push_back({static_cast<vertex_t>(v), w});
+      }
+    }
+    const auto hub = static_cast<vertex_t>(kOddVertices - 1);
+    for (std::uint64_t k = 0; k < 5000; ++k) {
+      odd.push_back({hub, static_cast<vertex_t>((k * 7919) % 2500 * 40)});
+    }
     return std::vector<BuildCase>{
         {"rmat_with_self_loops", kRmatVertices, std::move(with_loops)},
+        {"three_digit_ids_and_a_hub", kOddVertices, std::move(odd)},
         {"star", 1 << 16, star_edges},
         {"star_three_times", 1 << 16, std::move(stars)},
         // Up to three blocks of two edges.

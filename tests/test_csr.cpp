@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace crcw::graph {
@@ -46,6 +47,60 @@ TEST(Csr, HasEdge) {
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(2, 1));
   EXPECT_FALSE(g.has_edge(0, 0));
+}
+
+TEST(Csr, HasEdgeOnAnUnsortedList) {
+  // A binary search of 0's descending list would miss 0 and 1.
+  const Csr g({0, 5, 5, 5, 5, 5}, {4, 3, 2, 1, 0});
+  EXPECT_FALSE(g.sorted());
+  for (vertex_t v = 0; v < 5; ++v) EXPECT_TRUE(g.has_edge(0, v)) << v;
+  EXPECT_FALSE(g.has_edge(1, 0));
+}
+
+TEST(Csr, SortedRecordsWhetherEveryListAscends) {
+  EXPECT_TRUE(triangle().sorted());
+  EXPECT_TRUE(Csr().sorted());
+  EXPECT_TRUE(Csr({0, 2, 2, 3}, {1, 1, 0}).sorted());   // ties ascend
+  EXPECT_FALSE(Csr({0, 1, 3, 3}, {2, 2, 1}).sorted());  // vertex 1 descends
+  // Lists meet in descending order; each one ascends.
+  EXPECT_TRUE(Csr({0, 2, 4}, {0, 1, 0, 1}).sorted());
+}
+
+/// The message of the std::invalid_argument that constructing a Csr from
+/// these arrays on `threads` OpenMP threads throws ("" if none).
+std::string validation_error(const std::vector<edge_t>& offsets,
+                             const Csr::Targets& targets, int threads) {
+  try {
+    (void)Csr(offsets, targets, threads);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Csr, ValidationNamesTheFirstBadIndexAtEveryTeamSize) {
+  // 2^16 vertices of 4 slots each; the two bad entries of each kind are
+  // far apart, so at 2 and 4 threads different threads find them.
+  constexpr vertex_t kVertices = 1 << 16;
+  std::vector<edge_t> offsets(kVertices + 1);
+  for (vertex_t v = 0; v <= kVertices; ++v) offsets[v] = 4 * edge_t{v};
+  Csr::Targets targets(4 * edge_t{kVertices});
+  for (edge_t e = 0; e < targets.size(); ++e) targets[e] = static_cast<vertex_t>(e / 4);
+
+  Csr::Targets bad_targets = targets;
+  bad_targets[1000] = kVertices + 5;
+  bad_targets[200'000] = kVertices;
+  std::vector<edge_t> bad_offsets = offsets;
+  bad_offsets[5001] = bad_offsets[5000] - 1;
+  bad_offsets[60'001] = bad_offsets[60'000] - 1;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EXPECT_EQ(validation_error(offsets, bad_targets, threads),
+              "CSR: edge 1000 targets vertex 65541 >= 65536");
+    EXPECT_EQ(validation_error(bad_offsets, targets, threads),
+              "CSR: offsets not monotone at vertex 5000");
+    EXPECT_EQ(validation_error(offsets, targets, threads), "");
+  }
 }
 
 TEST(Csr, ValidateRejectsBadOffsets) {

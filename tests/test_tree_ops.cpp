@@ -100,6 +100,9 @@ TEST(EulerTour, RejectsNonTrees) {
   EXPECT_THROW((void)euler_tour(build_csr(2, graph::EdgeList{{0, 0}})),
                std::invalid_argument);
   EXPECT_THROW((void)euler_tour(Csr{}), std::invalid_argument);
+  // A tree whose lists are left in edge-list order: 0's list is {2, 1}.
+  const Csr tree = build_csr(3, graph::EdgeList{{0, 2}, {0, 1}}, {.sort_neighbors = false});
+  EXPECT_THROW((void)euler_tour(tree), std::invalid_argument);
 }
 
 TEST(RootTree, PathFromEnd) {
