@@ -27,9 +27,12 @@ constexpr int kRounds = 256;
 /// Rows compare methods at equal payload width: the n field carries the
 /// word count, so the caslt row at the same (threads, n) is the baseline.
 crcw::bench::RowSpec spec(const char* method, std::size_t words, int threads) {
-  const std::string suffix = "-" + std::to_string(words) + "w";
-  return {.series = "micro_slot/" + (method + suffix),
-          .policy = method + suffix,
+  std::string suffix = "-";
+  suffix += std::to_string(words);
+  suffix += 'w';
+  const std::string policy = method + suffix;
+  return {.series = "micro_slot/" + policy,
+          .policy = policy,
           .baseline = "caslt" + suffix,
           .threads = threads,
           .n = words,

@@ -115,8 +115,7 @@ int main(int argc, char** argv) try {
   banner("pointer jumping to roots on CREW (no concurrent writes needed)");
   {
     Simulator sim(AccessMode::kCREW, 1, seed);
-    std::vector<std::uint64_t> parent(n);
-    parent[0] = 0;
+    std::vector<std::uint64_t> parent(n);  // parent[0] = 0: the root
     for (std::uint64_t i = 1; i < n; ++i) parent[i] = i - 1;  // one long chain
     const auto roots = crcw::sim::programs::pointer_jump_roots(sim, parent);
     std::printf("chain of %llu collapsed to root %llu in depth %llu (log-steps)\n",

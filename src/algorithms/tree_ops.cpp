@@ -50,9 +50,7 @@ EulerTour euler_tour(const Csr& tree, const TreeOpsOptions& opts) {
   const std::uint64_t m = tree.num_edges();
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
 
-  EulerTour tour;
-  tour.twin.resize(m);
-  tour.next.resize(m);
+  EulerTour tour{std::vector<edge_t>(m), std::vector<edge_t>(m)};
 
   // Both maps are per-slot independent — one exclusive-write step each.
 #pragma omp parallel for num_threads(threads) schedule(static)

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "core/tagged_bucket.hpp"
 #include "ds/hash_common.hpp"
@@ -112,20 +111,6 @@ class ConcurrentHashMap
     return r;
   }
 
-  /// Winner-computes upsert: the factory runs only in the winning thread.
-  template <typename Factory>
-    requires std::is_invocable_r_v<Value, Factory>
-  MapUpsert upsert_with(round_t round, Key key, Factory&& make) {
-    Slot* slot = nullptr;
-    const MapUpsert r = write(round, key, /*live=*/true, slot);
-    if (r == MapUpsert::kWon) {
-      Value made = std::forward<Factory>(make)();
-      const util::TsanIgnoreWritesScope published_by_barrier;
-      slot->value = std::move(made);
-    }
-    return r;
-  }
-
   /// Round-arbitrated erase: the same CAS-LT race as upsert, committing a
   /// tombstone instead of a value. One winner per (key, round) across both
   /// op kinds — a same-round erase/upsert pair on one key resolves to
@@ -164,15 +149,6 @@ class ConcurrentHashMap
     }
   }
 
-  /// One entry of a cut-predicated scan: the committed value and the round
-  /// that committed it (the round travels into snapshot files so restore
-  /// can stamp the LiveTag exactly).
-  struct ScanEntry {
-    Key key;
-    Value value;
-    round_t round;
-  };
-
   /// Cut-predicated scan: calls fn(key, value, round) for every entry whose
   /// committed write is live with round <= cut_round. Safe CONCURRENTLY
   /// with writers committing rounds > cut_round — the consistent-snapshot
@@ -208,17 +184,6 @@ class ConcurrentHashMap
     }
   }
 
-  /// Collecting wrapper over for_each_at — the checkpoint writer's unit of
-  /// work. Same concurrency contract.
-  [[nodiscard]] std::vector<ScanEntry> scan_at(round_t cut_round) const {
-    std::vector<ScanEntry> out;
-    out.reserve(this->size());
-    for_each_at(cut_round, [&out](Key k, const Value& v, round_t r) {
-      out.push_back(ScanEntry{k, v, r});
-    });
-    return out;
-  }
-
   /// Serial restore of one committed (key, value, round) entry into this
   /// table — the snapshot restore path. Claims the bucket and stamps the
   /// packed LiveTag directly (like the migration sweep carries it), so
@@ -234,7 +199,6 @@ class ConcurrentHashMap
     this->publish_live(b, key);
     return true;
   }
-
 
  private:
   friend Base;

@@ -208,18 +208,10 @@ enum class SetInsert {
   kFull,      ///< the probe walk exhausted the table: grow, then retry
 };
 
-/// A telemetry snapshot feeding the signal-driven reclaim trigger (the
-/// ROADMAP probe-path follow-on): instead of waiting for the static
-/// tombstone-ratio watermark, a step boundary can hand the table what the
-/// probe path actually observed — the probe-length p99 and the H2
-/// false-positive tally — and reclaim as soon as walks demonstrably
-/// degrade. Tables with telemetry off produce a zero signal, which never
-/// fires; the static watermark then decides alone.
-struct ReclaimSignal {
-  std::uint64_t probe_p99 = 0;        ///< buckets verified per op, p99
-  std::uint64_t fingerprint_fps = 0;  ///< cumulative H2 false positives
-  std::uint64_t group_loads = 0;      ///< cumulative sidecar group snapshots
-};
+/// Empty and inert: the tombstone watermark alone decides reclaim. Kept
+/// only so perfbench/src/ladder.cpp's
+/// `maybe_reclaim_parallel(threads, table.telemetry_signal())` compiles.
+struct ReclaimSignal {};
 
 /// Construction-time knobs shared by the ds/ tables.
 struct HashConfig {
@@ -234,20 +226,6 @@ struct HashConfig {
   /// (like needs_grow); 0.25 leaves a hysteresis band below max_load so a
   /// reclaim sweep is never immediately followed by a backlog grow.
   double reclaim_ratio = 0.25;
-  /// Telemetry-driven reclaim trigger (0 = off): needs_reclaim(signal)
-  /// additionally fires when the observed probe-length p99 reaches this
-  /// many buckets per operation. Gated on a minimum tombstone floor
-  /// (1/64 of the buckets) because the probe histogram is cumulative — a
-  /// long-probe past would re-fire every step after the sweep already
-  /// dropped the tombstones that caused it, and a reclaim can only help
-  /// while there are tombstones to drop.
-  std::uint64_t reclaim_probe_p99 = 0;
-  /// Telemetry-driven reclaim trigger (0.0 = off): fires when the observed
-  /// H2 false positives exceed this fraction of the sidecar group loads
-  /// (tombstone lanes stay verify candidates forever, so a churned table's
-  /// false-positive rate climbs until a sweep resets the sidecar). Same
-  /// tombstone floor as reclaim_probe_p99.
-  double reclaim_fp_rate = 0.0;
   /// Probe via the control-byte sidecar, 16 buckets per group load (the
   /// default path). OFF forces the scalar bucket-at-a-time walk — the
   /// A/B lever bench/micro_probe.cpp and the equivalence tests use; the
@@ -338,7 +316,7 @@ class TableTelemetry {
   /// One probe walk's locally accumulated tallies, flushed in a single
   /// visit (≤ 3 shard RMWs + 1 histogram bump per OPERATION, not per
   /// bucket). Also feeds the probe-length histogram behind the
-  /// probe_p50/p99 accessors. The flush itself is outlined, like the
+  /// probe_p50/p99 of totals(). The flush itself is outlined, like the
   /// per-CAS and per-win counts below: a table op inlines only the site
   /// test, which keeps the ops and walks small enough for GCC to keep
   /// their state in registers and inline them into callers' loops.
@@ -367,31 +345,7 @@ class TableTelemetry {
     if (site_) site_->flush_round();
   }
 
-  [[nodiscard]] bool enabled() const noexcept { return site_ != nullptr; }
   [[nodiscard]] obs::ContentionSite* site() noexcept { return site_.get(); }
-
-  /// Probe-length quantiles (buckets verified per operation; upper bounds
-  /// of power-of-two histogram buckets). 0 when telemetry is off or no
-  /// walk has flushed yet.
-  [[nodiscard]] std::uint64_t probe_p50() const noexcept {
-    return site_ ? site_->probe_lengths().quantile_upper_bound(0.5) : 0;
-  }
-  [[nodiscard]] std::uint64_t probe_p99() const noexcept {
-    return site_ ? site_->probe_lengths().quantile_upper_bound(0.99) : 0;
-  }
-
-  /// Snapshot for the signal-driven reclaim trigger (ReclaimSignal docs);
-  /// all-zero when telemetry is off, which never fires a trigger.
-  [[nodiscard]] ReclaimSignal signal() const noexcept {
-    ReclaimSignal sig;
-    if (site_) {
-      const obs::ContentionTotals t = site_->totals();
-      sig.probe_p99 = probe_p99();
-      sig.fingerprint_fps = t.fingerprint_fps;
-      sig.group_loads = t.group_loads;
-    }
-    return sig;
-  }
 
  private:
   [[gnu::noinline]] void record_walk(const ProbeStats& s) noexcept {

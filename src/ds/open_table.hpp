@@ -113,25 +113,6 @@ class OpenTable {
                            cfg_.reclaim_ratio * static_cast<double>(buckets_.size());
   }
 
-  /// Signal-driven variant of needs_reclaim: the static watermark still
-  /// fires on its own, but a caller holding probe-path telemetry (its own
-  /// or this table's — telemetry_signal()) can also trigger on observed
-  /// degradation: probe-length p99 at or past HashConfig::reclaim_probe_p99,
-  /// or H2 false positives past reclaim_fp_rate of the group loads. Both
-  /// signal triggers are gated on a tombstone floor of 1/64 of the buckets,
-  /// because the telemetry is cumulative: without the floor a bad-probe
-  /// past would re-fire every step after the sweep already dropped the
-  /// tombstones that caused it.
-  [[nodiscard]] bool needs_reclaim(const ReclaimSignal& sig) const noexcept {
-    if (needs_reclaim()) return true;
-    const std::uint64_t dead = self().tombstones();
-    if (dead < buckets_.size() / 64 + 1) return false;
-    if (cfg_.reclaim_probe_p99 != 0 && sig.probe_p99 >= cfg_.reclaim_probe_p99) return true;
-    return cfg_.reclaim_fp_rate > 0.0 && sig.group_loads > 0 &&
-           static_cast<double>(sig.fingerprint_fps) >
-               cfg_.reclaim_fp_rate * static_cast<double>(sig.group_loads);
-  }
-
   /// Serial: allocates the next array (factor × buckets) and opens the
   /// migration window.
   void grow_prepare(std::uint64_t factor = 2) {
@@ -233,14 +214,10 @@ class OpenTable {
     return true;
   }
 
-  /// Signal-gated reclaim for step boundaries; the serve pumps pass
-  /// telemetry_signal() so churned tables rebuild as soon as probes
-  /// degrade, not only at the tombstone-ratio watermark. Returns true iff
-  /// a rebuild ran.
-  bool maybe_reclaim_parallel(int threads, const ReclaimSignal& sig) {
-    if (!needs_reclaim(sig)) return false;
-    reclaim_parallel(threads);
-    return true;
+  /// Forwards to the one-argument form; kept only for the call in
+  /// perfbench/src/ladder.cpp (ReclaimSignal).
+  bool maybe_reclaim_parallel(int threads, ReclaimSignal) {
+    return maybe_reclaim_parallel(threads);
   }
 
   /// Backlog-sized grow (ROADMAP "resize-storm tail"): one grow sized for
@@ -268,15 +245,13 @@ class OpenTable {
 
   [[nodiscard]] TableTelemetry& telemetry() noexcept { return telemetry_; }
 
-  /// Round boundary hook: folds the round's counter deltas into the site's
-  /// per-round histograms. Serial/post-barrier.
+  /// Round boundary hook: counts one round on the table's site.
+  /// Serial/post-barrier.
   void flush_round() noexcept { telemetry_.flush_round(); }
 
-  /// This table's own probe-path observations, ready to feed back into
-  /// maybe_reclaim_parallel. All-zero when telemetry is off.
-  [[nodiscard]] ReclaimSignal telemetry_signal() const noexcept {
-    return telemetry_.signal();
-  }
+  /// Always empty; kept only for the call in perfbench/src/ladder.cpp
+  /// (ReclaimSignal).
+  [[nodiscard]] ReclaimSignal telemetry_signal() const noexcept { return {}; }
 
   // -- test/debug introspection (serial or post-barrier only) ---------------
 

@@ -73,14 +73,6 @@ ContentionTotals ContentionSite::totals() const noexcept {
   return t;
 }
 
-void ContentionSite::flush_round() noexcept {
-  rounds_.fetch_add(1, std::memory_order_relaxed);
-  ContentionTotals now = totals();
-  attempts_per_round_.record(now.attempts - last_flush_.attempts);
-  atomics_per_round_.record(now.atomics - last_flush_.atomics);
-  last_flush_ = now;
-}
-
 void ContentionSite::reset() noexcept {
   for (auto& s : shards_) {
     s.attempts.store(0, std::memory_order_relaxed);
@@ -94,9 +86,6 @@ void ContentionSite::reset() noexcept {
     s.fingerprint_fps.store(0, std::memory_order_relaxed);
   }
   rounds_.store(0, std::memory_order_relaxed);
-  last_flush_ = {};
-  attempts_per_round_.reset();
-  atomics_per_round_.reset();
   probe_lengths_.reset();
 }
 

@@ -150,8 +150,7 @@ class MetricsRegistry;
 /// One instrumented contention domain — typically owned by one
 /// WriteArbiter. Hot-path counting lands in a per-thread shard (padded, no
 /// shared lines up to kShards concurrent threads); totals() sums shards on
-/// demand; flush_round() aggregates the round's deltas at the PRAM step
-/// boundary, feeding the per-round attempt/atomic histograms.
+/// demand; flush_round() counts one round at the PRAM step boundary.
 class ContentionSite {
  public:
   static constexpr std::size_t kShards = 32;
@@ -195,15 +194,6 @@ class ContentionSite {
   void add_reclaimed(std::uint64_t k) noexcept {
     shard().reclaimed.fetch_add(k, std::memory_order_relaxed);
   }
-  void add_group_loads(std::uint64_t k) noexcept {
-    shard().group_loads.fetch_add(k, std::memory_order_relaxed);
-  }
-  void add_fingerprint_fps(std::uint64_t k) noexcept {
-    shard().fingerprint_fps.fetch_add(k, std::memory_order_relaxed);
-  }
-  /// One table operation's probe length (buckets verified) — feeds the
-  /// probe_lengths() histogram and the p50/p99 fields of totals().
-  void record_probe_length(std::uint64_t probes) noexcept { probe_lengths_.record(probes); }
 
   /// Probe-length sampling stride for record_walk(): the histogram sees
   /// one op in 64, which keeps its (shared, unsharded) buckets off the
@@ -231,22 +221,15 @@ class ContentionSite {
   }
 
   // -- round boundary (serial code between parallel regions) ---------------
-  /// Sums the deltas since the previous flush into the per-round
-  /// histograms and advances the round count. Call between parallel
-  /// regions — the same place the round counter itself advances.
-  void flush_round() noexcept;
+  /// Counts one round. Call between parallel regions — the same place the
+  /// round counter itself advances.
+  void flush_round() noexcept { rounds_.fetch_add(1, std::memory_order_relaxed); }
 
   // -- reporting ------------------------------------------------------------
   [[nodiscard]] ContentionTotals totals() const noexcept;
-  [[nodiscard]] const Histogram& attempts_per_round() const noexcept {
-    return attempts_per_round_;
-  }
-  [[nodiscard]] const Histogram& atomics_per_round() const noexcept {
-    return atomics_per_round_;
-  }
   [[nodiscard]] const Histogram& probe_lengths() const noexcept { return probe_lengths_; }
 
-  /// Zeroes counters, histograms and the flush cursor. Not safe
+  /// Zeroes counters and the probe-length histogram. Not safe
   /// concurrently with the hot path.
   void reset() noexcept;
 
@@ -271,9 +254,6 @@ class ContentionSite {
 
   Shard shards_[kShards];
   std::atomic<std::uint64_t> rounds_{0};
-  ContentionTotals last_flush_;  // serial: only flush_round/reset touch it
-  Histogram attempts_per_round_;
-  Histogram atomics_per_round_;
   Histogram probe_lengths_;
   std::string name_;
   MetricsRegistry* registry_;

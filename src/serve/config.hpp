@@ -60,8 +60,8 @@ struct BatchConfig {
   /// per round. A shift of 4–8 also skips most enqueue clock reads; the
   /// p99s are then estimates over the sampled subset.
   int latency_sample_shift = 0;
-  /// Attach the `serve` ContentionSite — and, on the key-value backend,
-  /// one `serve-shard-<i>` site per shard (profile passes only).
+  /// Attach the `serve` ContentionSite, the engine's one counter site
+  /// (profile passes only).
   bool counters = false;
 
   [[nodiscard]] int resolved_threads() const noexcept {
@@ -97,14 +97,6 @@ struct TableConfig {
   /// tombstones and shrinking toward its live count) at the next batch
   /// boundary — with shards > 1 each shard decides independently.
   double reclaim_ratio = 0.25;
-  /// Forwarded to HashConfig::reclaim_probe_p99: telemetry-driven reclaim
-  /// trigger — the pump also rebuilds a shard once its observed
-  /// probe-length p99 reaches this many buckets (0 = off; needs
-  /// `telemetry`, since the signal comes from the table's own site).
-  std::uint64_t reclaim_probe_p99 = 0;
-  /// Forwarded to HashConfig::reclaim_fp_rate: reclaim once H2 false
-  /// positives exceed this fraction of group loads (0.0 = off).
-  double reclaim_fp_rate = 0.0;
   /// Forward HashConfig::telemetry to the backing table(s).
   bool telemetry = false;
 
@@ -113,8 +105,6 @@ struct TableConfig {
   [[nodiscard]] ds::HashConfig hash_config(std::string site_name) const {
     return ds::HashConfig{.max_load = max_load,
                           .reclaim_ratio = reclaim_ratio,
-                          .reclaim_probe_p99 = reclaim_probe_p99,
-                          .reclaim_fp_rate = reclaim_fp_rate,
                           .telemetry = telemetry,
                           .site_name = std::move(site_name)};
   }
@@ -202,13 +192,6 @@ struct ServeConfig {
     if (v.table.reclaim_ratio < 0.0 || v.table.reclaim_ratio >= v.table.max_load) {
       throw std::invalid_argument("serve: reclaim_ratio outside [0, max_load)");
     }
-    if (v.table.reclaim_fp_rate < 0.0 || v.table.reclaim_fp_rate > 1.0) {
-      throw std::invalid_argument("serve: reclaim_fp_rate outside [0, 1]");
-    }
-    if ((v.table.reclaim_probe_p99 != 0 || v.table.reclaim_fp_rate > 0.0) &&
-        !v.table.telemetry) {
-      throw std::invalid_argument("serve: signal-driven reclaim needs table.telemetry");
-    }
     if (v.stream.vertices < 2) throw std::invalid_argument("serve: stream.vertices < 2");
     if (v.shards.count < 1) throw std::invalid_argument("serve: shards.count < 1");
     if (v.shards.count > (1 << 16)) throw std::invalid_argument("serve: shards.count > 65536");
@@ -252,19 +235,9 @@ struct ServeConfig {
     c.shards.count = count;
     return c;
   }
-  [[nodiscard]] ServeConfig with_wire_port(std::uint16_t port) const {
-    ServeConfig c = *this;
-    c.wire.port = port;
-    return c;
-  }
   [[nodiscard]] ServeConfig with_vertices(std::uint32_t n) const {
     ServeConfig c = *this;
     c.stream.vertices = n;
-    return c;
-  }
-  [[nodiscard]] ServeConfig with_expected_edges(std::uint64_t m) const {
-    ServeConfig c = *this;
-    c.stream.expected_edges = m;
     return c;
   }
   [[nodiscard]] ServeConfig with_snapshot_dir(std::string dir) const {

@@ -7,15 +7,17 @@
 //     samples into plain bucket arrays and folds them in once per round
 //     (add_latencies), so no op pays an RMW on a shared bucket; totals
 //     are complete once the round's epilog has run;
-//   * an optional `serve` ContentionSite (BatchConfig::counters) mapping
-//     the engine onto the shared counter vocabulary:
+//   * an optional `serve` ContentionSite (BatchConfig::counters), the
+//     engine's only site, mapping it onto the shared counter vocabulary —
+//     each event counted once, however many shards ran it:
 //       attempts   ops admitted into rounds
 //       wins       write ops that won their (key, round) arbitration
 //       refills    batches closed by the scheduler
 //       rounds     CRCW rounds executed (one flush_round per round)
 //     `atomics` is not counted at serve granularity — the table's own
 //     telemetry (HashConfig::telemetry) counts the real CASes; a profile
-//     pass merges both through one ScopedRegistry.
+//     pass merges both through one ScopedRegistry. Per-shard op counts
+//     are RoundEngine::shard_ops.
 #pragma once
 
 #include <cstdint>

@@ -157,8 +157,6 @@ class BasicServeSession {
     flush();
   }
 
-  [[nodiscard]] bool pump_running() const noexcept { return pump_.joinable(); }
-
   // -- committed state & introspection (serial / quiescent-pump) ------------
 
   /// The committed value for `key` after the rounds so far (post-flush);
@@ -226,13 +224,6 @@ class ClientSession {
   /// same digest for the same committed state).
   [[nodiscard]] snap::ScanDigest snapshot_scan() {
     return snap::scan_digest(session_.backend());
-  }
-
-  /// Folds an asynchronously-completed write Result into the tracker (for
-  /// clients that pipeline through submit/wait and only need the tracked
-  /// rounds, not the retry loop).
-  void observe_write(std::uint64_t key, const Result& r) {
-    ryw_.note_write(static_cast<std::uint32_t>(session_.backend().shard_of(key)), r.round);
   }
 
   /// The last committed write round this client observed on `shard`.

@@ -20,11 +20,7 @@
 //   batch close each shard checks its own tombstone watermark and rebuilds
 //               itself (maybe_reclaim_parallel): a churn-heavy shard
 //               shrinks while a hot one grows, with no global stop-the-
-//               world. The probe-telemetry signal is passed along too,
-//               but it fires only when TableConfig::reclaim_probe_p99 or
-//               reclaim_fp_rate is set; both default to off and no serve
-//               bench, example or workload sets them, so the watermark
-//               alone decides
+//               world
 #pragma once
 
 #include <algorithm>
@@ -38,7 +34,6 @@
 
 #include "ds/concurrent_hash_map.hpp"
 #include "ds/hash_common.hpp"
-#include "obs/metrics.hpp"
 #include "serve/config.hpp"
 #include "serve/op.hpp"
 #include "serve/request_queue.hpp"
@@ -63,12 +58,8 @@ class ShardedScheduler : public RoundEngine<ShardedScheduler> {
     shards_.reserve(static_cast<std::size_t>(count));
     for (int s = 0; s < count; ++s) {
       const std::string suffix = s == 0 ? "" : "-s" + std::to_string(s);
-      shards_.push_back(std::make_unique<Shard>(per_shard_keys,
+      shards_.push_back(std::make_unique<Table>(per_shard_keys,
                                                 v.table.hash_config("serve-table" + suffix)));
-      if (v.batch.counters) {
-        shards_.back()->site =
-            std::make_unique<obs::ContentionSite>("serve-shard-" + std::to_string(s));
-      }
     }
   }
 
@@ -79,7 +70,7 @@ class ShardedScheduler : public RoundEngine<ShardedScheduler> {
     return shard_table(shard_of(key)).find(key);
   }
   [[nodiscard]] const Table& shard_table(int s) const {
-    return shards_[static_cast<std::size_t>(s)]->table;
+    return *shards_[static_cast<std::size_t>(s)];
   }
 
   // -- snapshots (src/snap): cut-predicated scans, restore ------------------
@@ -99,7 +90,7 @@ class ShardedScheduler : public RoundEngine<ShardedScheduler> {
   /// concurrently with later rounds while the cut is held.
   template <typename Fn>
   void scan_shard_at(std::uint32_t s, round_t cut_round, Fn&& fn) const {
-    shards_[s]->table.for_each_at(cut_round, std::forward<Fn>(fn));
+    shards_[s]->for_each_at(cut_round, std::forward<Fn>(fn));
   }
 
   /// Serial restore of one snapshot entry into shard s (before serving
@@ -107,21 +98,16 @@ class ShardedScheduler : public RoundEngine<ShardedScheduler> {
   bool restore_entry(std::uint32_t s, std::uint64_t key, std::uint64_t value,
                      round_t round) {
     if (static_cast<int>(s) != shard_of(key)) return false;
-    return shards_[s]->table.restore_slot(key, value, round);
+    return shards_[s]->restore_slot(key, value, round);
   }
 
  private:
   friend class RoundEngine<ShardedScheduler>;
 
-  // One shard: its table and its optional contention site. Padded so two
-  // shards written by different omp threads never share a line.
-  struct alignas(util::kCacheLineSize) Shard {
-    Shard(std::uint64_t expected_keys, ds::HashConfig hc)
-        : table(expected_keys, std::move(hc)) {}
-
-    Table table;
-    std::unique_ptr<obs::ContentionSite> site;
-  };
+  // One table per shard, each its own line-aligned allocation (so its size
+  // is a whole number of lines): two shards written by different omp
+  // threads never share a line.
+  static_assert(alignof(Table) >= util::kCacheLineSize);
 
   [[nodiscard]] static Admit admit(const Op& op) noexcept {
     if (op.key == Table::kEmptyKey || is_stream_op(op.kind) || is_snapshot_op(op.kind)) {
@@ -132,12 +118,12 @@ class ShardedScheduler : public RoundEngine<ShardedScheduler> {
 
   void reserve(std::span<const std::uint64_t> writes) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s]->table.maybe_grow_for_backlog(writes[s], exec_threads());
+      shards_[s]->maybe_grow_for_backlog(writes[s], exec_threads());
     }
   }
 
   void read_pass(std::size_t s, const Record* records, std::size_t n, round_t r) {
-    const Table& table = shards_[s]->table;
+    const Table& table = *shards_[s];
     for (const Record& rec : std::span(records, n)) {
       if (admit(rec.op) != Admit::kRead) continue;
       const std::uint64_t* v = table.find(rec.op.key);
@@ -146,20 +132,20 @@ class ShardedScheduler : public RoundEngine<ShardedScheduler> {
   }
 
   WriteTally write_pass(std::size_t s, const Record* records, std::size_t n, round_t r) {
-    Shard& shard = *shards_[s];
+    Table& table = *shards_[s];
     WriteTally tally;
     for (const Record& rec : std::span(records, n)) {
       if (admit(rec.op) != Admit::kWrite) continue;
       const bool is_erase = rec.op.kind == OpKind::kErase;
-      const ds::MapUpsert outcome = is_erase ? shard.table.erase(r, rec.op.key)
-                                             : shard.table.upsert(r, rec.op.key, rec.op.value);
+      const ds::MapUpsert outcome = is_erase ? table.erase(r, rec.op.key)
+                                             : table.upsert(r, rec.op.key, rec.op.value);
       switch (outcome) {
         case ds::MapUpsert::kWon:
           ++tally.wins;
           publish(rec, Result{is_erase ? 0 : rec.op.value, true, r});
           break;
         case ds::MapUpsert::kLost: {
-          const std::uint64_t* v = shard.table.find(rec.op.key);
+          const std::uint64_t* v = table.find(rec.op.key);
           publish(rec, Result{v != nullptr ? *v : 0, false, r});
           break;
         }
@@ -169,34 +155,24 @@ class ShardedScheduler : public RoundEngine<ShardedScheduler> {
           break;
       }
     }
-    if (shard.site && n != 0) {
-      shard.site->add_attempts(n);
-      if (tally.wins != 0) shard.site->add_wins(tally.wins);
-    }
     return tally;
   }
 
   void end_round() {
-    for (const auto& shard : shards_) {
-      if (shard->site) shard->site->flush_round();
-      shard->table.flush_round();
-    }
+    for (const auto& table : shards_) table->flush_round();
   }
 
   void end_batch() {
-    for (const auto& shard : shards_) {
-      Table& table = shard->table;
-      (void)table.maybe_reclaim_parallel(exec_threads(), table.telemetry_signal());
-    }
+    for (const auto& table : shards_) (void)table->maybe_reclaim_parallel(exec_threads());
   }
 
   [[nodiscard]] std::uint64_t keys() const noexcept {
     std::uint64_t total = 0;
-    for (const auto& shard : shards_) total += shard->table.size();
+    for (const auto& table : shards_) total += table->size();
     return total;
   }
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Table>> shards_;
 };
 
 }  // namespace crcw::serve

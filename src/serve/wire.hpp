@@ -126,6 +126,7 @@ class FrameReader {
 
   /// Appends raw bytes (any chunking, including single bytes).
   void feed(const std::uint8_t* data, std::size_t n) {
+    if (n == 0) return;
     buf_.insert(buf_.end(), data, data + n);
   }
 

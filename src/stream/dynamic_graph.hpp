@@ -17,13 +17,8 @@
 // because probe chains are atomic words and nobody else touches those
 // buckets' values).
 //
-// The reclaim trigger is the tombstone watermark. maybe_reclaim(threads)
-// also feeds the table's own probe-path observations (probe p99, H2
-// false-positive rate) into the signal overload (hash_common.hpp,
-// ReclaimSignal), but that signal fires only when
-// HashConfig::reclaim_probe_p99 or reclaim_fp_rate is set; both default to
-// off and no stream bench, example or workload sets them, so in every
-// served edge table the watermark alone decides.
+// The reclaim trigger is the tombstone watermark
+// (HashConfig::reclaim_ratio), checked by maybe_reclaim(threads).
 #pragma once
 
 #include <cstdint>
@@ -105,12 +100,9 @@ class DynamicGraph {
     return table_.maybe_grow_for_backlog(backlog, threads);
   }
 
-  /// Reclaim gated on the static tombstone watermark OR the table's own
-  /// probe telemetry (the signal-driven trigger). Returns true iff a
-  /// rebuild ran.
-  bool maybe_reclaim(int threads = 0) {
-    return table_.maybe_reclaim_parallel(threads, table_.telemetry_signal());
-  }
+  /// Reclaim gated on the tombstone watermark. Returns true iff a rebuild
+  /// ran.
+  bool maybe_reclaim(int threads = 0) { return table_.maybe_reclaim_parallel(threads); }
 
   [[nodiscard]] Table& table() noexcept { return table_; }
   [[nodiscard]] const Table& table() const noexcept { return table_; }

@@ -294,9 +294,7 @@ class StreamScheduler : public serve::RoundEngine<StreamScheduler> {
   }
 
   /// The edge table reclaims when its tombstone watermark says the churn
-  /// has degraded walks. (The probe-telemetry signal fires only when
-  /// TableConfig::reclaim_probe_p99 or reclaim_fp_rate is set; both default
-  /// to off and no stream bench, example or workload sets them.)
+  /// has degraded walks.
   void end_batch() {
     if (graph_.maybe_reclaim(exec_threads())) {
       reclaims_.fetch_add(1, std::memory_order_relaxed);

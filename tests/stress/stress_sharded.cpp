@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/serve_session.hpp"
 #include "stress_common.hpp"
 
@@ -27,8 +28,9 @@ namespace {
 }
 
 // Dedicated pump, clients on distinct keys that scatter over every shard.
-// The audit checks both values and the per-shard op counts: every op
-// served must be executed by exactly one shard even under thread churn.
+// The audit checks the values, the per-shard op counts and the counter
+// registry: every op served must be executed by exactly one shard and
+// counted once, even under thread churn.
 TEST(StressSharded, DedicatedPumpDistinctKeysAcrossShards) {
   const int threads = stress::thread_count();
   const int clients = threads - 1;
@@ -36,6 +38,8 @@ TEST(StressSharded, DedicatedPumpDistinctKeysAcrossShards) {
       static_cast<std::uint64_t>(stress::scaled(400, 60));
   ServeConfig cfg = serial_sharded_config(4);
   cfg.batch.counters = true;
+  obs::MetricsRegistry registry;
+  const obs::ScopedRegistry scoped(registry);
   ShardedServeSession session(cfg);
   std::atomic<std::uint64_t> completed{0};
   const std::uint64_t expected = static_cast<std::uint64_t>(clients) * per_client;
@@ -65,6 +69,9 @@ TEST(StressSharded, DedicatedPumpDistinctKeysAcrossShards) {
   std::uint64_t shard_ops = 0;
   for (int s = 0; s < st.shards; ++s) shard_ops += session.backend().shard_ops(s);
   EXPECT_EQ(shard_ops, st.ops_served);
+  const obs::ContentionTotals counted = registry.totals();
+  EXPECT_EQ(counted.attempts, st.ops_served);
+  EXPECT_EQ(counted.rounds, st.rounds);
   for (std::uint64_t c = 1; c <= static_cast<std::uint64_t>(clients); ++c) {
     for (std::uint64_t i = 0; i < per_client; ++i) {
       const std::uint64_t key = c * per_client + i + 1;

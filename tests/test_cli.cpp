@@ -3,14 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <stdexcept>
 #include <vector>
 
 namespace crcw::util {
 namespace {
 
-Cli parse(std::vector<const char*> argv) {
-  argv.insert(argv.begin(), "prog");
+Cli parse(std::initializer_list<const char*> args) {
+  std::vector<const char*> argv{"prog"};
+  argv.insert(argv.end(), args);
   return Cli(static_cast<int>(argv.size()), argv.data());
 }
 
@@ -92,10 +94,10 @@ TEST(Cli, UintListFallback) {
 }
 
 TEST(Cli, MalformedValuesThrow) {
-  EXPECT_THROW(parse({"--n=abc"}).get_uint("n", 0), std::invalid_argument);
-  EXPECT_THROW(parse({"--n=1.5"}).get_int("n", 0), std::invalid_argument);
-  EXPECT_THROW(parse({"--n=xyz"}).get_double("n", 0), std::invalid_argument);
-  EXPECT_THROW(parse({"--n=maybe"}).get_bool("n", false), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--n=abc"}).get_uint("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--n=1.5"}).get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--n=xyz"}).get_double("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--n=maybe"}).get_bool("n", false), std::invalid_argument);
   EXPECT_THROW(parse({"--n=1,,2"}).get_uint_list("n", {}), std::invalid_argument);
 }
 

@@ -37,7 +37,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, DoublyLogMaxTest,
                                            std::uint64_t{16}, std::uint64_t{17},
                                            std::uint64_t{255}, std::uint64_t{256},
                                            std::uint64_t{1000}, std::uint64_t{65536}),
-                         [](const auto& pinfo) { return "n" + std::to_string(pinfo.param); });
+                         [](const auto& pinfo) {
+                           std::string name = "n";
+                           name += std::to_string(pinfo.param);
+                           return name;
+                         });
 
 TEST(DoublyLogMax, TieBreakIsLastOccurrence) {
   const std::vector<std::uint32_t> xs = {9, 1, 9, 9, 2};

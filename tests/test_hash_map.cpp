@@ -47,19 +47,6 @@ TEST(HashMap, UpsertOneWinnerPerRound) {
   EXPECT_EQ(map.size(), 1u);  // still one key
 }
 
-TEST(HashMap, UpsertWithRunsFactoryOnlyForWinner) {
-  Map map(16);
-  int calls = 0;
-  const auto make = [&]() -> std::uint64_t {
-    ++calls;
-    return 5;
-  };
-  EXPECT_EQ(map.upsert_with(1, 9, make), MapUpsert::kWon);
-  EXPECT_EQ(map.upsert_with(1, 9, make), MapUpsert::kLost);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(*map.find(9), 5u);
-}
-
 TEST(HashMap, FullTableReportsKFull) {
   HashConfig cfg;
   cfg.max_load = 1.0;

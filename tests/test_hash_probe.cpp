@@ -306,8 +306,8 @@ TEST(HashProbe, WalkTelemetryBatchesAndFeedsHistogram) {
   // well under one load per op.
   EXPECT_GE(t.group_loads, 1u);
   EXPECT_LT(t.group_loads, 128u);
-  EXPECT_GE(grouped.telemetry().probe_p50(), 1u);
-  EXPECT_GE(grouped.telemetry().probe_p99(), grouped.telemetry().probe_p50());
+  EXPECT_GE(t.probe_p50, 1u);
+  EXPECT_GE(t.probe_p99, t.probe_p50);
 
   // Scalar walks load no groups but still batch probes per op.
   Set scalar(256, probing(false, /*telemetry=*/true));
@@ -316,7 +316,7 @@ TEST(HashProbe, WalkTelemetryBatchesAndFeedsHistogram) {
   EXPECT_GE(s.attempts, 128u);
   EXPECT_EQ(s.group_loads, 0u);
   EXPECT_EQ(s.fingerprint_fps, 0u);
-  EXPECT_GE(scalar.telemetry().probe_p50(), 1u);
+  EXPECT_GE(s.probe_p50, 1u);
 }
 
 TEST(HashProbe, SubGroupTablesAlwaysWalkScalar) {

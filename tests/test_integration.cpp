@@ -102,7 +102,7 @@ TEST(Integration, MachineDrivenBfsMatchesKernel) {
   pram::Machine m(pram::MachineConfig{.threads = 4});
   WriteArbiter<CasLtPolicy> arbiter(n);
   std::vector<std::int64_t> level(n, -1);
-  level[0] = 0;
+  level.at(0) = 0;  // the source
 
   bool done = false;
   std::int64_t l = 0;

@@ -79,9 +79,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(std::uint64_t{1000}, std::uint64_t{5000}, 8),
                       std::make_tuple(std::uint64_t{2000}, std::uint64_t{2000}, 8)),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_m" +
-             std::to_string(std::get<1>(pinfo.param)) + "_t" +
-             std::to_string(std::get<2>(pinfo.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_m";
+      name += std::to_string(std::get<1>(pinfo.param));
+      name += "_t";
+      name += std::to_string(std::get<2>(pinfo.param));
+      return name;
     });
 
 TEST(Kcore, RmatSkewedDegrees) {

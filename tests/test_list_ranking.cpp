@@ -68,7 +68,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ListRankRandomTest,
                                            std::uint64_t{3}, std::uint64_t{17},
                                            std::uint64_t{256}, std::uint64_t{1000}),
                          [](const ::testing::TestParamInfo<std::uint64_t>& pinfo) {
-                           return "n" + std::to_string(pinfo.param);
+                           std::string name = "n";
+                           name += std::to_string(pinfo.param);
+                           return name;
                          });
 
 TEST(MakeRandomList, StructureIsAProperList) {

@@ -57,7 +57,9 @@ TEST_P(OrMethodTest, AllOnesMaximumContention) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, OrMethodTest, ::testing::Values(1, 2, 8),
                          [](const ::testing::TestParamInfo<int>& pinfo) {
-                           return "t" + std::to_string(pinfo.param);
+                           std::string name = "t";
+                           name += std::to_string(pinfo.param);
+                           return name;
                          });
 
 TEST(AnyOf, PredicateForm) {

@@ -90,8 +90,11 @@ INSTANTIATE_TEST_SUITE_P(Shapes, RmqRandomTest,
                                            std::make_tuple(std::size_t{1000}, 4),
                                            std::make_tuple(std::size_t{100000}, 8)),
                          [](const auto& pinfo) {
-                           return "n" + std::to_string(std::get<0>(pinfo.param)) + "_t" +
-                                  std::to_string(std::get<1>(pinfo.param));
+                           std::string name = "n";
+                           name += std::to_string(std::get<0>(pinfo.param));
+                           name += "_t";
+                           name += std::to_string(std::get<1>(pinfo.param));
+                           return name;
                          });
 
 TEST(Rmq, ArgbestReturnsAWitness) {

@@ -54,8 +54,11 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ScanRandomTest,
                                                               std::uint64_t{100000}),
                                             ::testing::Values(1, 3, 8)),
                          [](const auto& pinfo) {
-                           return "n" + std::to_string(std::get<0>(pinfo.param)) + "_t" +
-                                  std::to_string(std::get<1>(pinfo.param));
+                           std::string name = "n";
+                           name += std::to_string(std::get<0>(pinfo.param));
+                           name += "_t";
+                           name += std::to_string(std::get<1>(pinfo.param));
+                           return name;
                          });
 
 TEST(ExclusiveScanOp, MaxScan) {
@@ -89,7 +92,9 @@ TEST(PackIndices, OrderedAndCompleteOnRandomFlags) {
     ASSERT_EQ(packed.size(), expected);
     for (std::size_t i = 0; i < packed.size(); ++i) {
       ASSERT_TRUE(flags[packed[i]] != 0);
-      if (i > 0) ASSERT_LT(packed[i - 1], packed[i]) << "indices must stay ordered";
+      if (i > 0) {
+        ASSERT_LT(packed[i - 1], packed[i]) << "indices must stay ordered";
+      }
     }
   }
 }

@@ -381,6 +381,12 @@ TEST(Serve, MetricsHistogramsAndCountersFlow) {
           EXPECT_EQ(totals.rounds, c.rounds);
         }
         EXPECT_TRUE(found);
+        // The registry total over every site counts each op, win and
+        // round once, at any shard count.
+        const obs::ContentionTotals all = local.totals();
+        EXPECT_EQ(all.attempts, kOps);
+        EXPECT_EQ(all.wins, c.rounds);
+        EXPECT_EQ(all.rounds, c.rounds);
       }
     }
   }

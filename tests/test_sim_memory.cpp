@@ -56,7 +56,7 @@ TEST(SimMemory, WritesAreBufferedUntilCommit) {
 
 TEST(SimMemory, OutOfRangeAccessesThrow) {
   Memory mem(4);
-  EXPECT_THROW(mem.peek(4), std::out_of_range);
+  EXPECT_THROW((void)mem.peek(4), std::out_of_range);
   EXPECT_THROW(mem.poke(10, 1), std::out_of_range);
   EXPECT_THROW(mem.read(0, 4), std::out_of_range);
   EXPECT_THROW(mem.write(0, 4, 1), std::out_of_range);

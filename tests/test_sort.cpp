@@ -81,9 +81,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(std::uint64_t{10000}, std::uint64_t{0}, 4),  // full 64-bit
                       std::make_tuple(std::uint64_t{100000}, std::uint64_t{1000}, 8)),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_b" +
-             std::to_string(std::get<1>(pinfo.param)) + "_t" +
-             std::to_string(std::get<2>(pinfo.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_b";
+      name += std::to_string(std::get<1>(pinfo.param));
+      name += "_t";
+      name += std::to_string(std::get<2>(pinfo.param));
+      return name;
     });
 
 TEST(RadixSort, AlreadySortedAndReversed) {

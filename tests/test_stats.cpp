@@ -73,9 +73,9 @@ TEST(QuantileSorted, Interpolates) {
 
 TEST(QuantileSorted, Rejections) {
   const std::vector<double> xs = {1.0};
-  EXPECT_THROW(quantile_sorted({}, 0.5), std::invalid_argument);
-  EXPECT_THROW(quantile_sorted(xs, -0.1), std::invalid_argument);
-  EXPECT_THROW(quantile_sorted(xs, 1.1), std::invalid_argument);
+  EXPECT_THROW((void)quantile_sorted({}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile_sorted(xs, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)quantile_sorted(xs, 1.1), std::invalid_argument);
   EXPECT_DOUBLE_EQ(quantile_sorted(xs, 0.5), 1.0);
 }
 
@@ -96,9 +96,9 @@ TEST(GeometricMean, EmptyIsZero) { EXPECT_EQ(geometric_mean({}), 0.0); }
 
 TEST(GeometricMean, RejectsNonPositive) {
   const std::vector<double> bad = {1.0, 0.0};
-  EXPECT_THROW(geometric_mean(bad), std::invalid_argument);
+  EXPECT_THROW((void)geometric_mean(bad), std::invalid_argument);
   const std::vector<double> neg = {1.0, -2.0};
-  EXPECT_THROW(geometric_mean(neg), std::invalid_argument);
+  EXPECT_THROW((void)geometric_mean(neg), std::invalid_argument);
 }
 
 TEST(Ratios, ElementWise) {

@@ -165,14 +165,7 @@ TEST(StreamServe, KvBackendsRejectStreamKinds) {
 TEST(StreamServe, StreamConfigValidation) {
   EXPECT_THROW((void)serve::ServeConfig{}.with_vertices(1).validated(),
                std::invalid_argument);
-  serve::ServeConfig cfg;
-  cfg.table.reclaim_probe_p99 = 32;  // signal knob without telemetry
-  cfg.table.telemetry = false;
-  EXPECT_THROW((void)cfg.validated(), std::invalid_argument);
-  cfg.table.telemetry = true;
-  EXPECT_NO_THROW((void)cfg.validated());
-  cfg.table.reclaim_fp_rate = 1.5;
-  EXPECT_THROW((void)cfg.validated(), std::invalid_argument);
+  EXPECT_NO_THROW((void)serve::ServeConfig{}.with_vertices(2).validated());
 }
 
 TEST(StreamServe, ReplayedWorkloadMatchesOracleCounts) {
